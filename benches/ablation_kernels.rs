@@ -1,12 +1,13 @@
 //! Ablation bench: design choices the DESIGN.md calls out — collision
 //! kernel (LBGK vs TRT), velocity set (D3Q15 vs D3Q19), kernel memory
-//! layout (legacy brick vs SoA site list) and lattice resolution —
-//! measured on the LB step they affect.
+//! layout (site-major oracle vs the production SoA site list) and
+//! lattice resolution — measured on the LB step they affect.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hemelb::core::collision::CollisionKind;
+use hemelb::core::reference::ReferenceSolver;
 use hemelb::core::solver::ModelKind;
-use hemelb::core::{KernelLayout, Solver, SolverConfig};
+use hemelb::core::{Solver, SolverConfig};
 use hemelb_bench::workloads::{self, Size};
 
 fn bench(c: &mut Criterion) {
@@ -31,19 +32,15 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    for (name, layout) in [
-        ("legacy", KernelLayout::Legacy),
-        ("soa_scalar", KernelLayout::SoaScalar),
-        ("soa_simd", KernelLayout::SoaSimd),
-    ] {
-        g.bench_with_input(BenchmarkId::new("layout", name), &layout, |b, &layout| {
-            let mut solver = Solver::new(
-                geo.clone(),
-                SolverConfig::pressure_driven(1.01, 0.99).with_layout(layout),
-            );
-            b.iter(|| solver.step());
-        });
-    }
+    g.bench_function(BenchmarkId::new("layout", "legacy"), |b| {
+        let mut oracle =
+            ReferenceSolver::new(geo.clone(), SolverConfig::pressure_driven(1.01, 0.99));
+        b.iter(|| oracle.step_n(1));
+    });
+    g.bench_function(BenchmarkId::new("layout", "soa_simd"), |b| {
+        let mut solver = Solver::new(geo.clone(), SolverConfig::pressure_driven(1.01, 0.99));
+        b.iter(|| solver.step());
+    });
 
     for (name, model) in [("d3q15", ModelKind::D3Q15), ("d3q19", ModelKind::D3Q19)] {
         g.bench_with_input(BenchmarkId::new("lattice", name), &model, |b, &model| {

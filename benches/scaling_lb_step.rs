@@ -7,7 +7,8 @@
 //! number. Results are bit-identical either way.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hemelb::core::{DistSolver, KernelLayout, ParallelSolver, Solver, SolverConfig};
+use hemelb::core::reference::ReferenceSolver;
+use hemelb::core::{DistSolver, ParallelSolver, Solver, SolverConfig};
 use hemelb::parallel::run_spmd;
 use hemelb_bench::workloads::{self, Size};
 
@@ -18,17 +19,15 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("lb_step");
     g.sample_size(10);
     g.throughput(Throughput::Elements(sites));
-    for (name, layout) in [
-        ("serial", KernelLayout::Legacy),
-        ("serial_soa_scalar", KernelLayout::SoaScalar),
-        ("serial_soa_simd", KernelLayout::SoaSimd),
-    ] {
-        g.bench_function(name, |b| {
-            let cfg = SolverConfig::pressure_driven(1.01, 0.99).with_layout(layout);
-            let mut solver = Solver::new(geo.clone(), cfg);
-            b.iter(|| solver.step());
-        });
-    }
+    g.bench_function("serial", |b| {
+        let mut oracle =
+            ReferenceSolver::new(geo.clone(), SolverConfig::pressure_driven(1.01, 0.99));
+        b.iter(|| oracle.step_n(1));
+    });
+    g.bench_function("serial_soa_simd", |b| {
+        let mut solver = Solver::new(geo.clone(), SolverConfig::pressure_driven(1.01, 0.99));
+        b.iter(|| solver.step());
+    });
     for t in [1usize, 2, 4] {
         g.bench_with_input(BenchmarkId::new("threaded", t), &t, |b, &t| {
             let mut solver =

@@ -7,7 +7,8 @@
 #                          #   fault-injection, farm and projection
 #                          #   suites + bench smokes, each gated against
 #                          #   the blessed baselines under
-#                          #   benches/baselines/
+#                          #   benches/baselines/, and the build + tests
+#                          #   of the perfbench package
 #   ./ci.sh --soak         # + long soaks: golden --ignored, the
 #                          #   500-step SoA kernel soak, the 200-step
 #                          #   two-kill fault recovery and the farm
@@ -30,7 +31,7 @@ cd "$(dirname "$0")"
 
 # The single source of truth for group names: the default tier runs
 # them in this order, and `--only` accepts exactly these (plus soak).
-CI_GROUPS_ALL=(lint tier1 determinism kernel overlap faults gateway farm projection smoke bench-gate)
+CI_GROUPS_ALL=(lint tier1 determinism kernel overlap faults gateway farm projection smoke bench-gate perfbench)
 usage_groups() { (IFS='|'; echo "${CI_GROUPS_ALL[*]}|soak"); }
 
 TIER="full"
@@ -134,10 +135,11 @@ group_determinism() {
     stage render      cargo test -q --test render_compositing
 }
 
-# Kernel memory layouts: legacy / SoA-scalar / SoA-SIMD bitwise
-# equivalence across operators and boundary conditions, mid-run
-# checkpoint hand-off between layouts, and the corrupted-streaming-index
-# negative test against the golden digests.
+# Kernel memory layout: the production SoA solvers (serial and
+# thread-parallel) bitwise equal to the site-major reference oracle per
+# field and per step across operators and boundary conditions, mid-run
+# checkpoint restore against the oracle's uninterrupted run, and the
+# corrupted-streaming-index negative test against the golden digests.
 group_kernel() {
     stage kernel cargo test -q --test kernel_layout
 }
@@ -195,7 +197,8 @@ group_projection() {
 
 # Release bench smokes, exercising the reproduce binary end to end:
 # E13 (render), E14 (faults), E15 (adaptive LB) and E16 (kernel
-# layouts) also write out/BENCH_*.json; the kernel report is gated.
+# layout vs the site-major oracle) also write out/BENCH_*.json; the
+# kernel report is gated.
 group_smoke() {
     stage render-smoke cargo run --release -q -p hemelb-bench --bin reproduce -- render --size small --ranks 2
     stage faults-smoke cargo run --release -q -p hemelb-bench --bin reproduce -- faults --size tiny --ranks 3
@@ -218,6 +221,14 @@ group_bench_gate() {
     done
     ensure_out
     stage bench-gate cargo run --release -q -p hemelb-bench --bin ci-gate -- kernel overlap gateway farm projection
+}
+
+# The end-to-end benchmark package (perfbench/) sits outside the
+# workspace, so nothing above compiles it: build it and run its tests
+# against the current crates.
+group_perfbench() {
+    stage perfbench-build cargo build --release --offline --manifest-path perfbench/Cargo.toml
+    stage perfbench-test  cargo test --offline --manifest-path perfbench/Cargo.toml
 }
 
 # Long soaks.

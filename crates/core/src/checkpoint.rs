@@ -98,7 +98,7 @@ impl Solver {
             step: self.step_count(),
             site_count: self.geometry().fluid_count() as u64,
             q: self.model().q as u64,
-            f: self.raw_distributions().to_vec(),
+            f: self.raw_distributions(),
         };
         let mut file = std::fs::File::create(path)?;
         write_state(&state, &mut file)
@@ -135,7 +135,7 @@ impl<'a> DistSolver<'a> {
             step: self.step_count(),
             site_count: self.local_sites().len() as u64,
             q: self.model_q() as u64,
-            f: self.raw_distributions().to_vec(),
+            f: self.raw_distributions(),
         };
         let mut file = std::fs::File::create(&path).expect("checkpoint file");
         write_state(&state, &mut file).expect("checkpoint write");

@@ -1,41 +1,37 @@
-//! Data-oriented memory layout for the LB kernels: the structure-of-
-//! arrays (SoA) fluid-site list.
+//! The kernel memory layout: the structure-of-arrays (SoA) fluid-site
+//! list every production solver runs on.
 //!
-//! The legacy layout stores distributions site-major (`f[site][dir]`,
-//! one contiguous block per site). The SoA layout of this module keeps
-//! **one contiguous `f64` lane per velocity direction** (`f[dir][site]`)
-//! plus a streaming-index table built once at setup: `stream[dir][site]`
-//! names the site whose direction-`dir` population streams *into*
-//! `site` (pull streaming), with missing links resolved to the sentinel
-//! [`LINK_BOUNDARY`] (bounce-back / iolet rule) and cross-rank links to
-//! `HALO_FLAG | slot`. Sites are additionally classified into runs
-//! ([`SiteRun`]): maximal index ranges whose links are all plain local
-//! sources, so the bulk streaming loop is a branch-free per-lane gather
-//! and only the (thin) boundary runs pay the per-link dispatch.
+//! Distributions live in **one contiguous `f64` lane per velocity
+//! direction** (`f[dir][site]`) plus a streaming-index table built once
+//! at setup: `stream[dir][site]` names the site whose direction-`dir`
+//! population streams *into* `site` (pull streaming), with missing links
+//! resolved to the sentinel [`LINK_BOUNDARY`] (bounce-back / iolet rule)
+//! and cross-rank links to `HALO_FLAG | slot`. The table is compiled
+//! into a `StreamPlan` — contiguous lane copies for the bulk, flat
+//! lists for the (thin) boundary and halo links — so streaming has no
+//! per-link dispatch left.
 //!
-//! The site *numbering* is untouched — site `s` is the same fluid site
-//! in every layout — so snapshots, checkpoints (site-major on disk),
-//! in situ sampling and the distributed owner maps are layout-agnostic.
+//! The site *numbering* is the geometry's — site `s` is the same fluid
+//! site everywhere — so snapshots, checkpoints (site-major on disk), in
+//! situ sampling and the distributed owner maps never see the lanes.
 //!
 //! ## Bitwise parity
 //!
 //! Every code path over this layout performs the exact per-site
-//! operation sequence of the legacy kernels (same associativity, same
-//! visit order within a site), so `legacy == SoA-scalar == SoA-SIMD`
-//! holds by `f64::to_bits` for **all** collision operators and boundary
-//! conditions — there are no documented-divergent cases in the solver
-//! core (contrast the renderer's LUT fast path, which is documented as
-//! tolerance-compared). The equivalence suite `tests/kernel_layout.rs`
-//! and the golden fixtures pin this.
+//! operation sequence of the site-major kernels kept as the test oracle
+//! in [`crate::reference`] (same associativity, same visit order within
+//! a site), so `oracle == Solver == ParallelSolver == DistSolver` holds
+//! by `f64::to_bits` for **all** collision operators and boundary
+//! conditions. The equivalence suite `tests/kernel_layout.rs` and the
+//! golden fixtures pin this.
 
 use crate::collision::{collide, CollisionKind};
-use crate::equilibrium::{moments as site_moments, pi_neq, shear_rate_magnitude};
+use crate::equilibrium::{feq_all, moments as site_moments, pi_neq, shear_rate_magnitude};
 use crate::model::LatticeModel;
 use crate::mrt::MrtOperator;
 use crate::solver::{boundary_rule, SolverConfig};
 use crate::CS2;
-use hemelb_geometry::SiteKind;
-use serde::{Deserialize, Serialize};
+use hemelb_geometry::{SiteKind, SparseGeometry};
 
 /// Sentinel in streaming/pull tables marking a missing (boundary) link.
 /// Shared by the serial, thread-parallel and distributed tables.
@@ -45,38 +41,6 @@ pub(crate) const LINK_BOUNDARY: u32 = u32::MAX;
 /// the distributed solver; the low bits are the halo slot. Check
 /// [`LINK_BOUNDARY`] first — the sentinel has this bit set too.
 pub(crate) const HALO_FLAG: u32 = 1 << 31;
-
-/// Which kernel memory layout / instruction mix a solver runs.
-///
-/// All three produce bit-identical states; the layout only changes how
-/// fast the same arithmetic runs. Selectable per solver via
-/// [`SolverConfig::with_layout`](crate::SolverConfig::with_layout).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum KernelLayout {
-    /// Site-major two-buffer layout (the original reference kernels).
-    Legacy,
-    /// SoA fluid-site list, scalar per-site collision.
-    SoaScalar,
-    /// SoA fluid-site list with the chunked-lane vectorised BGK
-    /// collision path (TRT/MRT fall back to the scalar site loop over
-    /// the same lanes).
-    #[default]
-    SoaSimd,
-}
-
-/// A maximal run of consecutive site indices with uniform streaming
-/// character: `bulk` runs have every link resolved to a plain local
-/// source (branch-free gather), non-bulk runs contain at least one
-/// boundary or halo link per site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SiteRun {
-    /// First site index of the run.
-    pub start: u32,
-    /// Number of sites in the run.
-    pub len: u32,
-    /// Whether every `(site, dir)` link in the run is a local source.
-    pub bulk: bool,
-}
 
 /// One contiguous copy segment of the bulk streaming plan: destination
 /// sites `dst..dst+len` of a lane pull from the consecutive sources
@@ -162,35 +126,30 @@ fn build_stream_plan(stream: &[Vec<u32>], n: usize) -> StreamPlan {
     }
 }
 
-fn site_is_bulk(stream: &[Vec<u32>], s: usize) -> bool {
-    stream.iter().all(|lane| {
-        let e = lane[s];
-        e != LINK_BOUNDARY && e & HALO_FLAG == 0
-    })
-}
-
-fn classify_runs(stream: &[Vec<u32>], n: usize) -> Vec<SiteRun> {
-    let mut runs = Vec::new();
-    let mut s = 0;
-    while s < n {
-        let bulk = site_is_bulk(stream, s);
-        let start = s;
-        s += 1;
-        while s < n && site_is_bulk(stream, s) == bulk {
-            s += 1;
+/// Build the lane-major streaming table of a whole (serial) domain:
+/// `stream[i][s]` is the fluid site found at `pos(s) − c_i`, or
+/// [`LINK_BOUNDARY`].
+pub(crate) fn build_stream_table(geo: &SparseGeometry, model: &LatticeModel) -> Vec<Vec<u32>> {
+    let n = geo.fluid_count();
+    let mut stream = vec![vec![LINK_BOUNDARY; n]; model.q];
+    for s in 0..n as u32 {
+        let [x, y, z] = geo.position(s);
+        for (lane, c) in stream.iter_mut().zip(&model.c) {
+            if let Some(src) = geo.site_at(
+                x as i64 - c[0] as i64,
+                y as i64 - c[1] as i64,
+                z as i64 - c[2] as i64,
+            ) {
+                lane[s as usize] = src;
+            }
         }
-        runs.push(SiteRun {
-            start: start as u32,
-            len: (s - start) as u32,
-            bulk,
-        });
     }
-    runs
+    stream
 }
 
 /// The SoA state of one solver (or one rank): per-direction lanes for
 /// the double-buffered distributions plus the lane-major streaming
-/// table and its run classification.
+/// table and its compiled plan.
 pub struct SoaLattice {
     n: usize,
     q: usize,
@@ -200,28 +159,21 @@ pub struct SoaLattice {
     pub(crate) f_next: Vec<Vec<f64>>,
     /// Streaming source table, `stream[dir][site]`: local site index,
     /// `HALO_FLAG | slot`, or [`LINK_BOUNDARY`].
-    pub(crate) stream: Vec<Vec<u32>>,
-    runs: Vec<SiteRun>,
+    stream: Vec<Vec<u32>>,
     /// The compiled streaming schedule (copies + boundary + halo lists).
     plan: StreamPlan,
 }
 
 impl SoaLattice {
-    /// Build the SoA state from a site-major pull table and the
-    /// site-major initial distributions (both `n × q`).
-    pub(crate) fn new(q: usize, pull: &[u32], f_site_major: &[f64]) -> Self {
-        assert!(q > 0 && pull.len().is_multiple_of(q), "pull table shape");
-        let n = pull.len() / q;
-        assert_eq!(f_site_major.len(), n * q, "distribution array shape");
-        let mut f = vec![vec![0.0f64; n]; q];
-        let mut stream = vec![vec![0u32; n]; q];
-        for s in 0..n {
-            for i in 0..q {
-                f[i][s] = f_site_major[s * q + i];
-                stream[i][s] = pull[s * q + i];
-            }
-        }
-        let runs = classify_runs(&stream, n);
+    /// Build the SoA state over a lane-major streaming table (`q` lanes
+    /// of `n` entries), with every site at rest (`ρ = 1`, `u = 0`).
+    pub(crate) fn new(model: &LatticeModel, stream: Vec<Vec<u32>>) -> Self {
+        let q = model.q;
+        assert_eq!(stream.len(), q, "one streaming lane per direction");
+        let n = stream[0].len();
+        let mut rest = vec![0.0; q];
+        feq_all(model, 1.0, [0.0; 3], &mut rest);
+        let f: Vec<Vec<f64>> = rest.iter().map(|&v| vec![v; n]).collect();
         let plan = build_stream_plan(&stream, n);
         SoaLattice {
             n,
@@ -229,7 +181,6 @@ impl SoaLattice {
             f_next: f.clone(),
             f,
             stream,
-            runs,
             plan,
         }
     }
@@ -239,33 +190,31 @@ impl SoaLattice {
         self.n
     }
 
-    /// The run classification (bulk runs stream branch-free).
-    pub fn runs(&self) -> &[SiteRun] {
-        &self.runs
-    }
-
-    /// Fraction of sites living in branch-free bulk runs.
+    /// Fraction of sites whose every link is a plain local source (no
+    /// boundary rule, no halo read): the bulk the streaming plan covers
+    /// with lane copies alone.
     pub fn bulk_fraction(&self) -> f64 {
         if self.n == 0 {
             return 0.0;
         }
-        let bulk: usize = self
-            .runs
-            .iter()
-            .filter(|r| r.bulk)
-            .map(|r| r.len as usize)
-            .sum();
+        let mut edge = vec![false; self.n];
+        for &(s, _) in &self.plan.boundary {
+            edge[s as usize] = true;
+        }
+        for &(s, _, _) in &self.plan.halo {
+            edge[s as usize] = true;
+        }
+        let bulk = edge.iter().filter(|&&e| !e).count();
         bulk as f64 / self.n as f64
     }
 
-    /// The streaming source entry for `(dir, site)` (tests).
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// The streaming source entry for `(dir, site)`.
     pub(crate) fn stream_entry(&self, dir: usize, site: usize) -> u32 {
         self.stream[dir][site]
     }
 
     /// Transpose the current distributions back to the canonical
-    /// site-major order (checkpointing, cross-layout comparison).
+    /// site-major order (checkpointing, comparison with the oracle).
     pub(crate) fn to_site_major(&self) -> Vec<f64> {
         let mut out = vec![0.0; self.n * self.q];
         for (i, lane) in self.f.iter().enumerate() {
@@ -301,7 +250,7 @@ impl SoaLattice {
     }
 
     /// Total mass, summed in the canonical site-major order so the
-    /// result is bit-identical to the legacy `f.iter().sum()`.
+    /// result is bit-identical to the oracle's `f.iter().sum()`.
     pub(crate) fn mass(&self) -> f64 {
         let mut acc = 0.0;
         for s in 0..self.n {
@@ -324,7 +273,7 @@ impl SoaLattice {
     }
 
     /// Deliberately corrupt the streaming table by swapping the sources
-    /// of two `(dir, site)` links, then re-classify runs so the corrupt
+    /// of two `(dir, site)` links, then recompile the plan so the corrupt
     /// table is still self-consistent (no out-of-range bulk gathers).
     /// Returns `true` if the two entries actually differed. Test-only
     /// hook for the golden-digest negative test.
@@ -335,7 +284,6 @@ impl SoaLattice {
             return false;
         }
         lane.swap(a, b);
-        self.runs = classify_runs(&self.stream, self.n);
         self.plan = build_stream_plan(&self.stream, self.n);
         true
     }
@@ -429,10 +377,10 @@ impl SitePartition {
 }
 
 /// Collide a span of sites over per-lane chunks, recording pre-collision
-/// moments. `lanes[i]` and `moments` cover the same site span. The SIMD
-/// flag routes BGK through the chunked-lane vectorised path; TRT/MRT
-/// always take the scalar gather/scatter site loop (identical values
-/// either way — the chunked path replicates the scalar operation order).
+/// moments. `lanes[i]` and `moments` cover the same site span. BGK takes
+/// the chunked-lane vectorised path; TRT/MRT take the scalar
+/// gather/scatter site loop (identical values to the oracle either way —
+/// the chunked path replicates the scalar operation order).
 pub(crate) fn collide_span_soa(
     model: &LatticeModel,
     collision: CollisionKind,
@@ -440,10 +388,9 @@ pub(crate) fn collide_span_soa(
     mut mrt: Option<&mut MrtOperator>,
     lanes: &mut [&mut [f64]],
     moments: &mut [(f64, [f64; 3])],
-    simd: bool,
 ) {
     debug_assert_eq!(lanes.len(), model.q);
-    if simd && matches!(collision, CollisionKind::Bgk) && mrt.is_none() {
+    if matches!(collision, CollisionKind::Bgk) && mrt.is_none() {
         bgk_collide_chunked(model, tau, lanes, moments);
         return;
     }
@@ -746,9 +693,7 @@ pub(crate) fn macroscopics_span_soa(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::equilibrium::feq_all;
-    use crate::solver::build_pull_table;
-    use hemelb_geometry::{SparseGeometry, VesselBuilder};
+    use hemelb_geometry::VesselBuilder;
     use std::sync::Arc;
 
     fn tube() -> Arc<SparseGeometry> {
@@ -757,11 +702,11 @@ mod tests {
 
     fn soa_for(geo: &SparseGeometry, model: &LatticeModel) -> SoaLattice {
         let n = geo.fluid_count();
-        let q = model.q;
-        let pull = build_pull_table(geo, model);
+        let mut soa = SoaLattice::new(model, build_stream_table(geo, model));
         // Distinct per-entry values so transposition bugs cannot cancel.
-        let f: Vec<f64> = (0..n * q).map(|k| k as f64 + 0.25).collect();
-        SoaLattice::new(q, &pull, &f)
+        let f: Vec<f64> = (0..n * model.q).map(|k| k as f64 + 0.25).collect();
+        soa.install_site_major(&f);
+        soa
     }
 
     #[test]
@@ -771,8 +716,8 @@ mod tests {
         let n = geo.fluid_count();
         let q = model.q;
         let f: Vec<f64> = (0..n * q).map(|k| (k as f64).sin()).collect();
-        let pull = build_pull_table(&geo, &model);
-        let mut soa = SoaLattice::new(q, &pull, &f);
+        let mut soa = SoaLattice::new(&model, build_stream_table(&geo, &model));
+        soa.install_site_major(&f);
         assert_eq!(soa.to_site_major(), f);
         let g: Vec<f64> = f.iter().map(|v| v * 2.0 + 1.0).collect();
         soa.install_site_major(&g);
@@ -781,24 +726,20 @@ mod tests {
     }
 
     #[test]
-    fn runs_partition_the_site_range_and_bulk_runs_are_all_local() {
+    fn bulk_fraction_counts_sites_with_only_local_links() {
         let geo = tube();
         for model in [LatticeModel::d3q15(), LatticeModel::d3q19()] {
             let soa = soa_for(&geo, &model);
-            let mut next = 0u32;
-            for run in soa.runs() {
-                assert_eq!(run.start, next, "runs must tile the range in order");
-                assert!(run.len > 0);
-                next += run.len;
-                for s in run.start..run.start + run.len {
-                    assert_eq!(
-                        run.bulk,
-                        site_is_bulk(&soa.stream, s as usize),
-                        "site {s} misclassified"
-                    );
-                }
-            }
-            assert_eq!(next as usize, geo.fluid_count());
+            let n = soa.site_count();
+            let bulk = (0..n)
+                .filter(|&s| {
+                    (0..model.q).all(|i| {
+                        let e = soa.stream_entry(i, s);
+                        e != LINK_BOUNDARY && e & HALO_FLAG == 0
+                    })
+                })
+                .count();
+            assert_eq!(soa.bulk_fraction(), bulk as f64 / n as f64);
             assert!(soa.bulk_fraction() > 0.0, "a tube interior has bulk sites");
             assert!(soa.bulk_fraction() < 1.0, "a tube has boundary sites");
         }
@@ -871,7 +812,7 @@ mod tests {
             );
             site_major[s * q + (s % q)] += 1e-3; // off-equilibrium
         }
-        // Scalar reference via the legacy collide().
+        // Scalar reference via the site-major collide().
         let mut reference = site_major.clone();
         let mut moments_ref = vec![(0.0, [0.0; 3]); n];
         let mut scratch = vec![0.0; q];
@@ -955,7 +896,7 @@ mod tests {
     }
 
     #[test]
-    fn swapping_stream_entries_corrupts_and_reclassifies() {
+    fn swapping_stream_entries_corrupts_and_recompiles() {
         let geo = tube();
         let model = LatticeModel::d3q15();
         let mut soa = soa_for(&geo, &model);
@@ -975,12 +916,12 @@ mod tests {
         assert!(soa.debug_swap_stream_entries(1, a, b));
         assert_eq!(soa.stream_entry(1, a), eb);
         assert_eq!(soa.stream_entry(1, b), ea);
-        // Runs still tile the range after reclassification.
-        let mut next = 0u32;
-        for run in soa.runs() {
-            assert_eq!(run.start, next);
-            next += run.len;
-        }
-        assert_eq!(next as usize, soa.site_count());
+        // The recompiled plan lists every boundary link of the corrupt
+        // table exactly once.
+        let boundary = (0..soa.site_count())
+            .flat_map(|s| (0..model.q).map(move |i| (s, i)))
+            .filter(|&(s, i)| soa.stream_entry(i, s) == LINK_BOUNDARY)
+            .count();
+        assert_eq!(soa.plan.boundary.len(), boundary);
     }
 }

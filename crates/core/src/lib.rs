@@ -38,13 +38,15 @@ pub mod kernel;
 pub mod layout;
 pub mod model;
 pub mod mrt;
+#[doc(hidden)]
+pub mod reference;
 pub mod solver;
 pub mod units;
 
 pub use dist::DistSolver;
 pub use fields::FieldSnapshot;
 pub use kernel::ParallelSolver;
-pub use layout::{KernelLayout, SitePartition};
+pub use layout::SitePartition;
 pub use model::LatticeModel;
 pub use solver::{Solver, SolverConfig};
 pub use units::UnitConverter;

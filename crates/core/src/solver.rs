@@ -1,19 +1,20 @@
-//! The serial sparse-geometry LB solver (reference implementation).
+//! The serial sparse-geometry LB solver.
 //!
 //! One time step is collide → stream (pull) with local boundary rules on
-//! missing links. The distributed solver in [`crate::dist`] reproduces
-//! this bit-for-bit; tests assert the equality.
+//! missing links, over the SoA lanes of [`crate::layout`]. The
+//! thread-parallel solver in [`crate::kernel`] and the distributed
+//! solver in [`crate::dist`] reproduce it bit-for-bit, and all three
+//! match the site-major oracle in [`crate::reference`]; tests assert
+//! the equalities.
 
 use crate::boundary::{pressure_anti_bounce_back, velocity_bounce_back, wall_bounce_back, IoletBc};
 use crate::collision::CollisionKind;
-use crate::equilibrium::feq_all;
 use crate::fields::FieldSnapshot;
-use crate::layout::{KernelLayout, SoaLattice};
+use crate::layout::{build_stream_table, SoaLattice};
 use crate::model::LatticeModel;
-use hemelb_geometry::{SiteKind, SparseGeometry};
+use hemelb_geometry::{IoLetKind, SiteKind, SparseGeometry};
 use hemelb_obs::{ObsReport, Recorder};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -50,10 +51,6 @@ pub struct SolverConfig {
     pub inlet_bcs: Vec<IoletBc>,
     /// Boundary prescriptions for outlets, indexed likewise.
     pub outlet_bcs: Vec<IoletBc>,
-    /// Kernel memory layout (see [`KernelLayout`]); every choice is
-    /// bit-identical, only throughput differs.
-    #[serde(default)]
-    pub layout: KernelLayout,
     /// Whether the distributed solver overlaps the halo exchange with
     /// interior compute (frontier-first collide, interior collide+stream
     /// under in-flight messages). Bit-identical to the synchronous
@@ -76,7 +73,6 @@ impl SolverConfig {
             collision: CollisionKind::Bgk,
             inlet_bcs: vec![IoletBc::Pressure { rho: rho_in }],
             outlet_bcs: vec![IoletBc::Pressure { rho: rho_out }],
-            layout: KernelLayout::default(),
             overlap: default_overlap(),
         }
     }
@@ -93,7 +89,6 @@ impl SolverConfig {
                 parabolic: true,
             }],
             outlet_bcs: vec![IoletBc::Pressure { rho: 1.0 }],
-            layout: KernelLayout::default(),
             overlap: default_overlap(),
         }
     }
@@ -114,12 +109,6 @@ impl SolverConfig {
     /// Override the collision operator.
     pub fn with_collision(mut self, collision: CollisionKind) -> Self {
         self.collision = collision;
-        self
-    }
-
-    /// Override the kernel memory layout.
-    pub fn with_layout(mut self, layout: KernelLayout) -> Self {
-        self.layout = layout;
         self
     }
 
@@ -147,33 +136,22 @@ impl SolverConfig {
         let idx = (id as usize).min(self.outlet_bcs.len().saturating_sub(1));
         self.outlet_bcs[idx]
     }
-}
 
-/// Sentinel in the pull table marking a missing (boundary) link
-/// (canonical definition lives with the layout machinery).
-pub(crate) use crate::layout::LINK_BOUNDARY;
-
-/// Build the pull-streaming source table: `table[s*q + i]` is the fluid
-/// site found at `pos(s) − c_i`, or [`LINK_BOUNDARY`].
-pub(crate) fn build_pull_table(geo: &SparseGeometry, model: &LatticeModel) -> Vec<u32> {
-    let n = geo.fluid_count();
-    let q = model.q;
-    let mut table = vec![LINK_BOUNDARY; n * q];
-    for s in 0..n as u32 {
-        let [x, y, z] = geo.position(s);
-        for i in 0..q {
-            let c = model.c[i];
-            let src = geo.site_at(
-                x as i64 - c[0] as i64,
-                y as i64 - c[1] as i64,
-                z as i64 - c[2] as i64,
-            );
-            if let Some(src) = src {
-                table[s as usize * q + i] = src;
-            }
+    /// Replace the BC of inlet or outlet `id`. Ids past the end of the
+    /// list are first padded with the current last entry — the BC those
+    /// ids already resolved to — so setting one id never changes the BC
+    /// of another.
+    pub fn set_iolet_bc(&mut self, kind: IoLetKind, id: usize, bc: IoletBc) {
+        let bcs = match kind {
+            IoLetKind::Inlet => &mut self.inlet_bcs,
+            IoLetKind::Outlet => &mut self.outlet_bcs,
+        };
+        if id >= bcs.len() {
+            let fill = bcs.last().copied().unwrap_or(bc);
+            bcs.resize(id + 1, fill);
         }
+        bcs[id] = bc;
     }
-    table
 }
 
 /// Per-site precomputed boundary velocity for velocity iolets (zero for
@@ -239,21 +217,14 @@ pub struct Solver {
     pub(crate) geo: Arc<SparseGeometry>,
     pub(crate) cfg: SolverConfig,
     pub(crate) model: LatticeModel,
-    /// Current distributions, site-major `[site][direction]`.
-    pub(crate) f: Vec<f64>,
-    /// Double buffer for streaming.
-    pub(crate) f_next: Vec<f64>,
-    /// Pull table.
-    pub(crate) pull: Vec<u32>,
+    /// Distributions (double-buffered SoA lanes) and streaming plan.
+    pub(crate) lattice: SoaLattice,
     /// Pre-collision moments of the current step, per site.
     pub(crate) moments: Vec<(f64, [f64; 3])>,
     /// Precomputed iolet velocities.
     pub(crate) bc_velocity: Vec<[f64; 3]>,
     /// MRT operator when `cfg.collision` is [`CollisionKind::Mrt`].
     pub(crate) mrt: Option<crate::mrt::MrtOperator>,
-    /// SoA state when `cfg.layout` is not [`KernelLayout::Legacy`]; the
-    /// legacy `f`/`f_next` buffers stay empty in that case.
-    pub(crate) soa: Option<SoaLattice>,
     /// Completed time steps.
     pub(crate) step: u64,
     /// Per-phase observability recorder (`lb.collide`, `lb.stream`,
@@ -268,12 +239,7 @@ impl Solver {
     pub fn new(geo: Arc<SparseGeometry>, cfg: SolverConfig) -> Self {
         let model = cfg.model.build();
         let n = geo.fluid_count();
-        let q = model.q;
-        let mut f = vec![0.0; n * q];
-        for s in 0..n {
-            feq_all(&model, 1.0, [0.0; 3], &mut f[s * q..(s + 1) * q]);
-        }
-        let pull = build_pull_table(&geo, &model);
+        let lattice = SoaLattice::new(&model, build_stream_table(&geo, &model));
         let bc_velocity = precompute_bc_velocities(&geo, &cfg);
         let mrt = match cfg.collision {
             CollisionKind::Mrt { omega_ghost } => {
@@ -281,23 +247,11 @@ impl Solver {
             }
             _ => None,
         };
-        let soa = match cfg.layout {
-            KernelLayout::Legacy => None,
-            _ => Some(SoaLattice::new(q, &pull, &f)),
-        };
-        let (f, f_next) = if soa.is_some() {
-            (Vec::new(), Vec::new())
-        } else {
-            (f.clone(), f)
-        };
         Solver {
-            f_next,
+            lattice,
             moments: vec![(1.0, [0.0; 3]); n],
-            f,
-            pull,
             bc_velocity,
             mrt,
-            soa,
             geo,
             cfg,
             model,
@@ -347,20 +301,14 @@ impl Solver {
     /// Replace the BC of inlet `id` at runtime (computational steering:
     /// "not only simulation parameters … can be further modified").
     /// Precomputed boundary velocities are refreshed.
-    pub fn set_inlet_bc(&mut self, id: usize, bc: crate::boundary::IoletBc) {
-        if id >= self.cfg.inlet_bcs.len() {
-            self.cfg.inlet_bcs.resize(id + 1, bc);
-        }
-        self.cfg.inlet_bcs[id] = bc;
+    pub fn set_inlet_bc(&mut self, id: usize, bc: IoletBc) {
+        self.cfg.set_iolet_bc(IoLetKind::Inlet, id, bc);
         self.bc_velocity = precompute_bc_velocities(&self.geo, &self.cfg);
     }
 
     /// Replace the BC of outlet `id` at runtime.
-    pub fn set_outlet_bc(&mut self, id: usize, bc: crate::boundary::IoletBc) {
-        if id >= self.cfg.outlet_bcs.len() {
-            self.cfg.outlet_bcs.resize(id + 1, bc);
-        }
-        self.cfg.outlet_bcs[id] = bc;
+    pub fn set_outlet_bc(&mut self, id: usize, bc: IoletBc) {
+        self.cfg.set_iolet_bc(IoLetKind::Outlet, id, bc);
         self.bc_velocity = precompute_bc_velocities(&self.geo, &self.cfg);
     }
 
@@ -373,144 +321,73 @@ impl Solver {
         self.step_impl(false);
     }
 
-    /// One step, serial or chunk-parallel, dispatched on the configured
-    /// layout. The parallel flavour must run inside a rayon pool (see
-    /// [`crate::kernel::ParallelSolver`]).
+    /// One step, serial or chunk-parallel. The parallel flavour must
+    /// run inside a rayon pool (see [`crate::kernel::ParallelSolver`]).
     pub(crate) fn step_impl(&mut self, parallel: bool) {
-        if self.soa.is_some() {
-            self.step_soa(parallel);
-            return;
-        }
-        // Collide in place: f becomes f*.
+        let n = self.moments.len() as u32;
         let span = self.obs.borrow().begin();
         if parallel {
-            crate::kernel::par_collide(
+            crate::kernel::par_collide_soa_ranges(
                 &self.model,
                 self.cfg.collision,
                 self.cfg.tau,
                 self.mrt.as_ref(),
-                &mut self.f,
+                &mut self.lattice.f,
                 &mut self.moments,
+                &[(0, n)],
             );
         } else {
-            crate::kernel::collide_span(
+            let mut lanes: Vec<&mut [f64]> = self
+                .lattice
+                .f
+                .iter_mut()
+                .map(|l| l.as_mut_slice())
+                .collect();
+            crate::layout::collide_span_soa(
                 &self.model,
                 self.cfg.collision,
                 self.cfg.tau,
                 self.mrt.as_mut(),
-                &mut self.f,
+                &mut lanes,
                 &mut self.moments,
             );
         }
         span.end(&mut self.obs.borrow_mut(), "lb.collide");
-        // Stream (pull) with boundary rules on missing links.
         let span = self.obs.borrow().begin();
+        let kinds = self.geo.kinds();
+        let (f_old, f_next, plan) = self.lattice.split_for_stream();
         if parallel {
-            crate::kernel::par_stream(
+            crate::kernel::par_stream_soa_ranges(
                 &self.model,
                 &self.cfg,
-                &self.geo,
-                &self.f,
+                kinds,
+                f_old,
+                plan,
                 &self.moments,
                 &self.bc_velocity,
-                &self.pull,
+                &[],
                 self.step,
-                &mut self.f_next,
+                &[(0, n)],
+                f_next,
             );
         } else {
-            crate::kernel::stream_span(
+            let mut out: Vec<&mut [f64]> = f_next.iter_mut().map(|l| l.as_mut_slice()).collect();
+            crate::layout::stream_span_soa(
                 &self.model,
                 &self.cfg,
-                &self.geo,
-                &self.f,
+                kinds,
+                f_old,
+                plan,
                 &self.moments,
                 &self.bc_velocity,
-                &self.pull,
+                &[],
                 self.step,
                 0,
-                &mut self.f_next,
+                &mut out,
             );
         }
         span.end(&mut self.obs.borrow_mut(), "lb.stream");
-        std::mem::swap(&mut self.f, &mut self.f_next);
-        self.step += 1;
-    }
-
-    /// One step over the SoA lanes. The SIMD flavour only changes the
-    /// BGK collide loop shape, never the per-site arithmetic.
-    fn step_soa(&mut self, parallel: bool) {
-        let simd = self.cfg.layout == KernelLayout::SoaSimd;
-        let span = self.obs.borrow().begin();
-        {
-            let soa = self.soa.as_mut().expect("SoA state");
-            if parallel {
-                crate::kernel::par_collide_soa(
-                    &self.model,
-                    self.cfg.collision,
-                    self.cfg.tau,
-                    self.mrt.as_ref(),
-                    &mut soa.f,
-                    &mut self.moments,
-                    simd,
-                );
-            } else {
-                let mut lanes: Vec<&mut [f64]> =
-                    soa.f.iter_mut().map(|l| l.as_mut_slice()).collect();
-                crate::layout::collide_span_soa(
-                    &self.model,
-                    self.cfg.collision,
-                    self.cfg.tau,
-                    self.mrt.as_mut(),
-                    &mut lanes,
-                    &mut self.moments,
-                    simd,
-                );
-            }
-        }
-        span.end(&mut self.obs.borrow_mut(), "lb.collide");
-        let span = self.obs.borrow().begin();
-        {
-            let model = &self.model;
-            let cfg = &self.cfg;
-            let kinds = self.geo.kinds();
-            let moments = &self.moments[..];
-            let bc_velocity = &self.bc_velocity[..];
-            let step = self.step;
-            let soa = self.soa.as_mut().expect("SoA state");
-            let (f_old, f_next, plan) = soa.split_for_stream();
-            if parallel {
-                crate::kernel::par_stream_soa(
-                    model,
-                    cfg,
-                    kinds,
-                    f_old,
-                    plan,
-                    moments,
-                    bc_velocity,
-                    &[],
-                    step,
-                    f_next,
-                );
-            } else {
-                let mut out: Vec<&mut [f64]> =
-                    f_next.iter_mut().map(|l| l.as_mut_slice()).collect();
-                crate::layout::stream_span_soa(
-                    model,
-                    cfg,
-                    kinds,
-                    f_old,
-                    plan,
-                    moments,
-                    bc_velocity,
-                    &[],
-                    step,
-                    0,
-                    &mut out,
-                );
-            }
-        }
-        span.end(&mut self.obs.borrow_mut(), "lb.stream");
-        self.soa.as_mut().expect("SoA state").swap_buffers();
+        self.lattice.swap_buffers();
         self.step += 1;
     }
 
@@ -526,47 +403,18 @@ impl Solver {
         self.snapshot_impl(false)
     }
 
-    /// Snapshot, serial or chunk-parallel, dispatched on the layout.
+    /// Snapshot, serial or chunk-parallel.
     pub(crate) fn snapshot_impl(&self, parallel: bool) -> FieldSnapshot {
         let n = self.geo.fluid_count();
         let mut rho = vec![0.0; n];
         let mut u = vec![[0.0; 3]; n];
         let mut shear = vec![0.0; n];
         let span = self.obs.borrow().begin();
-        match (&self.soa, parallel) {
-            (Some(soa), false) => crate::layout::macroscopics_span_soa(
-                &self.model,
-                self.cfg.tau,
-                &soa.f,
-                0,
-                &mut rho,
-                &mut u,
-                &mut shear,
-            ),
-            (Some(soa), true) => crate::kernel::par_macroscopics_soa(
-                &self.model,
-                self.cfg.tau,
-                &soa.f,
-                &mut rho,
-                &mut u,
-                &mut shear,
-            ),
-            (None, false) => crate::kernel::macroscopics_span(
-                &self.model,
-                self.cfg.tau,
-                &self.f,
-                &mut rho,
-                &mut u,
-                &mut shear,
-            ),
-            (None, true) => crate::kernel::par_macroscopics(
-                &self.model,
-                self.cfg.tau,
-                &self.f,
-                &mut rho,
-                &mut u,
-                &mut shear,
-            ),
+        let (model, tau, f) = (&self.model, self.cfg.tau, &self.lattice.f);
+        if parallel {
+            crate::kernel::par_macroscopics_soa(model, tau, f, &mut rho, &mut u, &mut shear);
+        } else {
+            crate::layout::macroscopics_span_soa(model, tau, f, 0, &mut rho, &mut u, &mut shear);
         }
         span.end(&mut self.obs.borrow_mut(), "lb.macroscopics");
         FieldSnapshot {
@@ -578,77 +426,48 @@ impl Solver {
     }
 
     /// Total mass `Σ_s Σ_i f_si` (conserved by interior dynamics; open
-    /// boundaries exchange mass by design). Summed in site-major order
-    /// regardless of layout, so the value is layout-independent.
+    /// boundaries exchange mass by design), summed in site-major order.
     pub fn mass(&self) -> f64 {
-        match &self.soa {
-            Some(soa) => soa.mass(),
-            None => self.f.iter().sum(),
-        }
+        self.lattice.mass()
     }
 
     /// Raw distributions of one site (for tests and the distributed
     /// equality check), in direction order.
     pub fn distributions(&self, site: u32) -> Vec<f64> {
-        match &self.soa {
-            Some(soa) => soa.site_values(site as usize),
-            None => {
-                let q = self.model.q;
-                self.f[site as usize * q..(site as usize + 1) * q].to_vec()
-            }
-        }
+        self.lattice.site_values(site as usize)
     }
 
     /// The whole distribution array in the canonical site-major order
-    /// (checkpointing, cross-layout comparison). Borrowed for the legacy
-    /// layout, transposed on the fly for SoA.
-    pub fn raw_distributions(&self) -> Cow<'_, [f64]> {
-        match &self.soa {
-            Some(soa) => Cow::Owned(soa.to_site_major()),
-            None => Cow::Borrowed(&self.f),
-        }
+    /// (checkpointing, comparison with the oracle).
+    pub fn raw_distributions(&self) -> Vec<f64> {
+        self.lattice.to_site_major()
     }
 
     /// Overwrite the dynamical state from a site-major array (checkpoint
-    /// restore). Works across layouts: a checkpoint written under any
-    /// layout restores into any other.
+    /// restore).
     ///
     /// # Panics
     /// Panics if the array length does not match `sites × q`.
     pub(crate) fn install_state(&mut self, step: u64, f: Vec<f64>) {
         assert_eq!(f.len(), self.geo.fluid_count() * self.model.q);
-        match self.soa.as_mut() {
-            Some(soa) => soa.install_site_major(&f),
-            None => self.f = f,
-        }
+        self.lattice.install_site_major(&f);
         self.step = step;
     }
 
     /// Deliberately corrupt the streaming-index table by swapping the
     /// sources of two `(direction, site)` links. Test-only harness hook
     /// (the golden-digest negative test proves a single swapped
-    /// neighbour fails the FNV digest); works on every layout. Returns
-    /// `true` if the two entries actually differed.
+    /// neighbour fails the FNV digest). Returns `true` if the two
+    /// entries actually differed.
     #[doc(hidden)]
     pub fn debug_swap_stream_entries(&mut self, dir: usize, a: usize, b: usize) -> bool {
-        match self.soa.as_mut() {
-            Some(soa) => soa.debug_swap_stream_entries(dir, a, b),
-            None => {
-                let q = self.model.q;
-                if self.pull[a * q + dir] == self.pull[b * q + dir] {
-                    return false;
-                }
-                self.pull.swap(a * q + dir, b * q + dir);
-                true
-            }
-        }
+        self.lattice.debug_swap_stream_entries(dir, a, b)
     }
 
-    /// Fraction of sites in branch-free bulk runs, when running a SoA
-    /// layout (`None` under the legacy layout). Reported by the kernel
-    /// bench.
-    pub fn bulk_fraction(&self) -> Option<f64> {
-        self.soa.as_ref().map(|soa| soa.bulk_fraction())
+    /// Fraction of sites whose every link is a plain local source (see
+    /// [`SoaLattice::bulk_fraction`]). Reported by the kernel bench.
+    pub fn bulk_fraction(&self) -> f64 {
+        self.lattice.bulk_fraction()
     }
 
     /// Run until the RMS velocity change over `check_every` steps drops
@@ -825,7 +644,6 @@ mod tests {
                 period,
             }],
             outlet_bcs: vec![IoletBc::Pressure { rho: 1.0 }],
-            layout: KernelLayout::default(),
             overlap: true,
         };
         let mut s = tube_solver(cfg);
@@ -892,6 +710,28 @@ mod tests {
         {
             assert_eq!(a.to_bits(), b.to_bits(), "obs must not perturb physics");
         }
+    }
+
+    /// Setting a BC past the end of the list must not change the BC of
+    /// any other id: the gap is padded with the entry those ids already
+    /// resolved to, not with the new BC.
+    #[test]
+    fn setting_a_high_iolet_id_leaves_lower_ids_unchanged() {
+        let mut s = tube_solver(SolverConfig::pressure_driven(1.01, 0.99));
+        let high = IoletBc::Pressure { rho: 1.2 };
+        s.set_inlet_bc(2, high);
+        assert_eq!(s.config().inlet_bc(0), IoletBc::Pressure { rho: 1.01 });
+        assert_eq!(s.config().inlet_bc(1), IoletBc::Pressure { rho: 1.01 });
+        assert_eq!(s.config().inlet_bc(2), high);
+        assert_eq!(s.config().inlet_bc(7), high, "last entry reused beyond");
+        s.set_outlet_bc(1, high);
+        assert_eq!(s.config().outlet_bc(0), IoletBc::Pressure { rho: 0.99 });
+        assert_eq!(s.config().outlet_bc(1), high);
+        // An empty list has nothing to preserve: the gap takes the new BC.
+        let mut cfg = SolverConfig::pressure_driven(1.0, 1.0);
+        cfg.inlet_bcs.clear();
+        cfg.set_iolet_bc(IoLetKind::Inlet, 1, high);
+        assert_eq!(cfg.inlet_bcs, vec![high, high]);
     }
 
     #[test]

@@ -269,7 +269,7 @@ pub fn run_closed_loop_opts(
     } else {
         None
     };
-    let mut state = SteeringState::new(geo.shape());
+    let mut state = SteeringState::new(geo.shape(), geo.inlets().len());
     state.vis_rate = cfg.initial_vis_rate.max(1);
 
     let mut solver = DistSolver::new(geo.clone(), owner, solver_cfg, comm)?;
@@ -945,6 +945,93 @@ mod tests {
         // with an explicit mid-run repartition matches serial (covered
         // bit-exactly in hemelb-core). Here assert plausibility only.
         assert!(reference.validity_report().is_empty());
+    }
+
+    /// A client asking for an inlet the geometry does not have, or for a
+    /// non-finite density, gets the command rejected in a status report;
+    /// the run keeps stepping on finite fields.
+    #[test]
+    fn invalid_inlet_pressure_is_rejected_and_the_run_keeps_stepping() {
+        let geo = demo_geo();
+        let (client_end, server_end) = duplex_pair();
+        let server_slot = Arc::new(Mutex::new(Some(Box::new(server_end) as Box<dyn Transport>)));
+        let geo2 = geo.clone();
+
+        let client_thread = std::thread::spawn(move || {
+            let client = SteeringClient::new(Box::new(client_end));
+            client
+                .send(&SteeringCommand::SetInletPressure {
+                    id: u32::MAX,
+                    rho: 1.02,
+                })
+                .unwrap();
+            client
+                .send(&SteeringCommand::SetInletPressure {
+                    id: 0,
+                    rho: f64::NAN,
+                })
+                .unwrap();
+            let mut problems: Vec<String> = Vec::new();
+            let mut last_step = 0;
+            while problems.len() < 2 || last_step < 20 {
+                client.send(&SteeringCommand::RequestFrame).unwrap();
+                let (img, statuses) = client.wait_for_image().unwrap();
+                last_step = img.step;
+                problems.extend(
+                    statuses
+                        .into_iter()
+                        .flat_map(|s| s.problems)
+                        .filter(|p| p.contains("rejected inlet pressure")),
+                );
+            }
+            client.send(&SteeringCommand::Terminate).unwrap();
+            while client.recv().is_ok() {}
+            problems
+        });
+
+        let results = run_spmd(2, move |comm| {
+            let transport = if comm.is_master() {
+                server_slot.lock().take()
+            } else {
+                None
+            };
+            run_closed_loop(
+                geo2.clone(),
+                slab_owner(&geo2, comm.size()),
+                SolverConfig::pressure_driven(1.005, 0.995),
+                comm,
+                transport,
+                &ClosedLoopConfig {
+                    max_steps: u64::MAX / 2,
+                    image: (16, 12),
+                    initial_vis_rate: u32::MAX,
+                    steps_per_cycle: 5,
+                    vis_aware_repartition: false,
+                    gather_final_fields: true,
+                    ..Default::default()
+                },
+            )
+            .unwrap()
+        });
+
+        let problems = client_thread.join().unwrap();
+        assert!(
+            problems.iter().any(|p| p.contains("inlet 4294967295")),
+            "{problems:?}"
+        );
+        assert!(
+            problems.iter().any(|p| p.contains("finite and positive")),
+            "{problems:?}"
+        );
+        for outcome in &results {
+            assert!(outcome.terminated_by_client);
+            assert!(outcome.steps_done >= 20, "kept stepping");
+        }
+        let fields = results[0].final_fields.as_ref().expect("root fields");
+        assert!(
+            fields.rho.iter().all(|r| r.is_finite()),
+            "field stayed finite"
+        );
     }
 
     #[test]

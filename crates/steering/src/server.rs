@@ -41,6 +41,9 @@ pub struct SteeringState {
     pub adaptive_lb_override: Option<bool>,
     /// Domain shape in lattice cells; ROIs are validated against it.
     pub domain: [u32; 3],
+    /// Number of inlets in the geometry; inlet-pressure commands are
+    /// validated against it.
+    pub inlets: u32,
     /// Notices about rejected commands, drained into the next status
     /// report's `problems` list.
     pub rejections: Vec<String>,
@@ -48,7 +51,8 @@ pub struct SteeringState {
 
 impl SteeringState {
     /// Defaults: camera along −y, speed field, render every 50 steps.
-    pub fn new(domain_shape: [usize; 3]) -> Self {
+    /// `inlets` is the geometry's inlet count.
+    pub fn new(domain_shape: [usize; 3], inlets: usize) -> Self {
         let c = [
             domain_shape[0] as f64 / 2.0,
             domain_shape[1] as f64 / 2.0,
@@ -74,6 +78,7 @@ impl SteeringState {
                 domain_shape[1] as u32,
                 domain_shape[2] as u32,
             ],
+            inlets: inlets as u32,
             rejections: Vec::new(),
         }
     }
@@ -121,7 +126,22 @@ impl SteeringState {
                 }
             }
             SteeringCommand::SetInletPressure { id, rho } => {
-                self.pressure_changes.push((*id, *rho));
+                // An unknown id would grow the solver's BC list to `id`
+                // entries, and a non-finite or non-positive density
+                // poisons the whole field, so neither reaches the solver.
+                if *id >= self.inlets {
+                    self.rejections.push(format!(
+                        "rejected inlet pressure for inlet {id}: the geometry has {} inlet(s)",
+                        self.inlets
+                    ));
+                } else if !(rho.is_finite() && *rho > 0.0) {
+                    self.rejections.push(format!(
+                        "rejected inlet pressure {rho} for inlet {id}: density must be \
+                         finite and positive"
+                    ));
+                } else {
+                    self.pressure_changes.push((*id, *rho));
+                }
             }
             SteeringCommand::Pause => self.paused = true,
             SteeringCommand::Resume => self.paused = false,
@@ -369,7 +389,7 @@ mod tests {
 
     #[test]
     fn state_applies_commands() {
-        let mut st = SteeringState::new([32, 16, 16]);
+        let mut st = SteeringState::new([32, 16, 16], 1);
         assert!(!st.paused);
         st.apply(&SteeringCommand::Pause);
         assert!(st.paused);
@@ -387,8 +407,34 @@ mod tests {
     }
 
     #[test]
+    fn invalid_inlet_pressure_is_rejected_and_reported() {
+        let mut st = SteeringState::new([32, 16, 16], 2);
+        st.apply(&SteeringCommand::SetInletPressure { id: 1, rho: 1.02 });
+        st.apply(&SteeringCommand::SetInletPressure {
+            id: u32::MAX,
+            rho: 1.02,
+        });
+        st.apply(&SteeringCommand::SetInletPressure { id: 2, rho: 1.02 });
+        for rho in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            st.apply(&SteeringCommand::SetInletPressure { id: 0, rho });
+        }
+        assert_eq!(st.take_pressure_changes(), vec![(1, 1.02)]);
+        let rejections = st.take_rejections();
+        assert_eq!(rejections.len(), 6, "{rejections:?}");
+        assert!(
+            rejections[0].contains("inlet 4294967295"),
+            "{}",
+            rejections[0]
+        );
+        assert!(rejections[1].contains("2 inlet(s)"), "{}", rejections[1]);
+        for r in &rejections[2..] {
+            assert!(r.contains("finite and positive"), "{r}");
+        }
+    }
+
+    #[test]
     fn valid_roi_is_accepted_and_clamped() {
-        let mut st = SteeringState::new([32, 16, 16]);
+        let mut st = SteeringState::new([32, 16, 16], 1);
         st.apply(&SteeringCommand::SetRoi {
             lo: [0, 0, 0],
             hi: [16, 16, 16],
@@ -406,7 +452,7 @@ mod tests {
 
     #[test]
     fn inverted_or_empty_roi_is_rejected_and_reported() {
-        let mut st = SteeringState::new([32, 16, 16]);
+        let mut st = SteeringState::new([32, 16, 16], 1);
         let good = ([0, 0, 0], [8, 8, 8]);
         st.apply(&SteeringCommand::SetRoi {
             lo: good.0,

@@ -9,19 +9,19 @@
 //! GOLDEN_BLESS=1 cargo test --test golden
 //! ```
 //!
-//! Each case is run on every kernel layout — the legacy site-major
-//! brick, the SoA fluid-site list with scalar collision, and the SoA
-//! chunked-lane SIMD path — serially and on the chunk-parallel
-//! `ParallelSolver`; all must match the *same* fixture, which pins the
-//! bit-exact determinism contract to stored bytes. (The SoA refactor
-//! re-blessed here was a no-op: every digest was reproduced unchanged,
-//! so the fixtures still certify the original arithmetic.)
+//! Each case is run on the site-major reference oracle, the production
+//! SoA `Solver` and the chunk-parallel `ParallelSolver`; all must match
+//! the *same* fixture, which pins the bit-exact determinism contract to
+//! stored bytes. (The fixtures were blessed against the site-major
+//! kernels and have never changed since, so they still certify the
+//! original arithmetic.)
 
 mod common;
 
 use hemelb::core::collision::CollisionKind;
+use hemelb::core::reference::ReferenceSolver;
 use hemelb::core::solver::ModelKind;
-use hemelb::core::{KernelLayout, ParallelSolver, Solver, SolverConfig};
+use hemelb::core::{FieldSnapshot, ParallelSolver, Solver, SolverConfig};
 use hemelb::geometry::VesselBuilder;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -82,38 +82,35 @@ fn fixture_path(name: &str) -> PathBuf {
 
 /// Digest lines for one finished run: per-field checksums plus the raw
 /// distribution array, all over IEEE-754 bit patterns.
-fn digest_lines(solver: &Solver, steps: u64) -> String {
-    let snap = solver.snapshot();
-    let (rho, u, shear) = common::snapshot_digests(&snap);
-    let f = common::fnv1a_bits(solver.raw_distributions().iter().copied());
+fn digest_lines(snap: &FieldSnapshot, f: &[f64], steps: u64) -> String {
+    let (rho, u, shear) = common::snapshot_digests(snap);
+    let f = common::fnv1a_bits(f.iter().copied());
     format!("steps={steps}\nrho={rho:016x}\nu={u:016x}\nshear={shear:016x}\nf={f:016x}\n")
 }
 
 fn run_case(case: &GoldenCase) {
     let (geo, cfg) = (case.build)();
 
-    // Legacy layout is the reference the fixtures were blessed against.
-    let mut legacy = Solver::new(geo.clone(), cfg.clone().with_layout(KernelLayout::Legacy));
-    legacy.step_n(case.steps);
-    let got = digest_lines(&legacy, case.steps);
+    // The site-major oracle is the reference the fixtures were blessed
+    // against.
+    let mut oracle = ReferenceSolver::new(geo.clone(), cfg.clone());
+    oracle.step_n(case.steps);
+    let got = digest_lines(&oracle.snapshot(), oracle.raw_distributions(), case.steps);
 
-    // Both SoA layouts must reproduce the legacy digests bit-for-bit.
-    for layout in [KernelLayout::SoaScalar, KernelLayout::SoaSimd] {
-        let mut soa = Solver::new(geo.clone(), cfg.clone().with_layout(layout));
-        soa.step_n(case.steps);
-        assert_eq!(
-            got,
-            digest_lines(&soa, case.steps),
-            "{}: {layout:?} diverged from the legacy layout",
-            case.name
-        );
-    }
+    // The production solver must reproduce the oracle bit-for-bit.
+    let mut solver = Solver::new(geo.clone(), cfg.clone());
+    solver.step_n(case.steps);
+    assert_eq!(
+        got,
+        digest_lines(&solver.snapshot(), &solver.raw_distributions(), case.steps),
+        "{}: Solver diverged from the oracle",
+        case.name
+    );
 
-    // The parallel solver (SoA-SIMD layout) must produce the *same*
-    // fixture.
-    let mut par = ParallelSolver::new(geo, cfg.with_layout(KernelLayout::SoaSimd), 3);
+    // The parallel solver must produce the *same* fixture.
+    let mut par = ParallelSolver::new(geo, cfg, 3);
     par.step_n(case.steps);
-    let got_par = digest_lines(par.solver(), case.steps);
+    let got_par = digest_lines(&par.snapshot(), &par.raw_distributions(), case.steps);
     assert_eq!(
         got, got_par,
         "{}: parallel kernel diverged from serial",

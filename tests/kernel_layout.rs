@@ -1,72 +1,59 @@
-//! Kernel-layout equivalence suite: the legacy site-major brick layout,
-//! the SoA fluid-site list with scalar collision, and the SoA
-//! chunked-lane (SIMD-style) BGK path must be **bit-identical** — per
-//! field, per step — over random geometries × velocity sets × collision
-//! operators × boundary-condition families. Checkpoints written under
-//! one layout must restore under any other and continue on the same
-//! trajectory, and a single corrupted streaming-index entry must break
-//! the golden digest (the negative control that the digests actually
-//! watch the streaming table).
+//! Kernel-layout equivalence suite: the production SoA fluid-site list
+//! (serial `Solver` and chunk-parallel `ParallelSolver`) must be
+//! **bit-identical** to the site-major reference oracle — per field, per
+//! step — over random geometries × velocity sets × collision operators
+//! × boundary-condition families. Checkpoints written mid-run must
+//! restore and continue on the oracle's uninterrupted trajectory, and a
+//! single corrupted streaming-index entry must break the golden digest
+//! (the negative control that the digests actually watch the streaming
+//! table).
 
 mod common;
 
 use hemelb::core::collision::CollisionKind;
+use hemelb::core::reference::ReferenceSolver;
 use hemelb::core::solver::ModelKind;
-use hemelb::core::{KernelLayout, ParallelSolver, Solver, SolverConfig};
-use hemelb::geometry::VesselBuilder;
+use hemelb::core::{ParallelSolver, Solver, SolverConfig};
+use hemelb::geometry::{SparseGeometry, VesselBuilder};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-const LAYOUTS: [KernelLayout; 3] = [
-    KernelLayout::Legacy,
-    KernelLayout::SoaScalar,
-    KernelLayout::SoaSimd,
-];
-
-fn layout_name(layout: KernelLayout) -> &'static str {
-    match layout {
-        KernelLayout::Legacy => "legacy",
-        KernelLayout::SoaScalar => "soa-scalar",
-        KernelLayout::SoaSimd => "soa-simd",
-    }
-}
-
-/// Step `reference` and `candidates` together, asserting full bit
-/// equality of the distribution array and of every macroscopic field
-/// after *each* step (not just at the end — divergence must be caught
-/// at the step it first appears).
+/// Step the oracle, the serial solver and a 3-thread parallel solver
+/// together, asserting full bit equality of the distribution array and
+/// of every macroscopic field after *each* step (not just at the end —
+/// divergence must be caught at the step it first appears).
 fn assert_lockstep_equal(
-    reference: &mut Solver,
-    candidates: &mut [(&'static str, &mut Solver)],
-    par: &mut ParallelSolver,
+    geo: &Arc<SparseGeometry>,
+    cfg: &SolverConfig,
     steps: u64,
     ctx: &dyn std::fmt::Debug,
 ) -> Result<(), TestCaseError> {
+    let mut oracle = ReferenceSolver::new(geo.clone(), cfg.clone());
+    let mut serial = Solver::new(geo.clone(), cfg.clone());
+    let mut par = ParallelSolver::new(geo.clone(), cfg.clone(), 3);
     for step in 1..=steps {
-        reference.step_n(1);
+        oracle.step_n(1);
+        serial.step_n(1);
         par.step_n(1);
-        let want_f = reference.raw_distributions();
-        let want_snap = common::snapshot_digests(&reference.snapshot());
-        for (name, solver) in candidates.iter_mut() {
-            solver.step_n(1);
+        let want_f = oracle.raw_distributions();
+        let want_snap = common::snapshot_digests(&oracle.snapshot());
+        for (name, f, snap) in [
+            ("Solver", serial.raw_distributions(), serial.snapshot()),
+            ("ParallelSolver(3)", par.raw_distributions(), par.snapshot()),
+        ] {
             prop_assert!(
-                common::bits_eq(&want_f, &solver.raw_distributions()),
-                "{name} f diverged from legacy at step {step} for {ctx:?}"
+                common::bits_eq(want_f, &f),
+                "{name} f diverged from the oracle at step {step} for {ctx:?}"
             );
-            let got = common::snapshot_digests(&solver.snapshot());
             prop_assert_eq!(
                 want_snap,
-                got,
+                common::snapshot_digests(&snap),
                 "{} (rho,u,shear) diverged at step {} for {:?}",
                 name,
                 step,
                 ctx
             );
         }
-        prop_assert!(
-            common::bits_eq(&want_f, &par.raw_distributions()),
-            "soa-simd ParallelSolver f diverged at step {step} for {ctx:?}"
-        );
     }
     Ok(())
 }
@@ -75,29 +62,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Random geometries × {D3Q15, D3Q19} × {BGK, TRT, MRT} ×
-    /// {pressure, velocity}: legacy == SoA-scalar == SoA-SIMD ==
-    /// SoA-SIMD-parallel by `to_bits`, per field, per step.
+    /// {pressure, velocity}: oracle == Solver == ParallelSolver(3) by
+    /// `to_bits`, per field, per step.
     #[test]
     fn layouts_agree_bitwise_per_step(case in common::case_strategy()) {
         let geo = case.geo.build();
-        let cfg = case.config();
-        let mut legacy = Solver::new(geo.clone(), cfg.clone().with_layout(KernelLayout::Legacy));
-        let mut scalar = Solver::new(geo.clone(), cfg.clone().with_layout(KernelLayout::SoaScalar));
-        let mut simd = Solver::new(geo.clone(), cfg.clone().with_layout(KernelLayout::SoaSimd));
-        let mut par = ParallelSolver::new(geo, cfg.with_layout(KernelLayout::SoaSimd), 3);
-        assert_lockstep_equal(
-            &mut legacy,
-            &mut [("soa-scalar", &mut scalar), ("soa-simd", &mut simd)],
-            &mut par,
-            12,
-            &case,
-        )?;
+        assert_lockstep_equal(&geo, &case.config(), 12, &case)?;
     }
 }
 
 /// Exhaustive operator sweep the random cases only sample: both velocity
 /// sets × three collision operators × both BC families, on a cylinder
-/// and a porous block, all three layouts bit-identical after 10 steps.
+/// and a porous block, oracle and SoA solvers bit-identical every step.
 #[test]
 fn layouts_agree_across_all_operator_combinations() {
     let geos = [
@@ -127,37 +103,16 @@ fn layouts_agree_across_all_operator_combinations() {
                         collision,
                         velocity_inlet,
                     };
-                    let cfg = case.config();
-                    let mut runs = LAYOUTS.map(|layout| {
-                        let mut s = Solver::new(geo.clone(), cfg.clone().with_layout(layout));
-                        s.step_n(10);
-                        s
-                    });
-                    let want = runs[0].raw_distributions().to_vec();
-                    let want_snap = common::snapshot_digests(&runs[0].snapshot());
-                    for (s, layout) in runs.iter_mut().zip(LAYOUTS).skip(1) {
-                        assert!(
-                            common::bits_eq(&want, &s.raw_distributions()),
-                            "{} f diverged for {case:?}",
-                            layout_name(layout)
-                        );
-                        assert_eq!(
-                            want_snap,
-                            common::snapshot_digests(&s.snapshot()),
-                            "{} fields diverged for {case:?}",
-                            layout_name(layout)
-                        );
-                    }
+                    assert_lockstep_equal(&geo, &case.config(), 10, &case).unwrap();
                 }
             }
         }
     }
 }
 
-/// Mid-run checkpoint/restore through the new layout: state written
-/// under SoA-SIMD at step 10 restores into *any* layout and continues
-/// on exactly the uninterrupted trajectory (and the reverse direction,
-/// legacy-written → SoA-restored, holds too).
+/// Mid-run checkpoint/restore: state written by the SoA solver at step
+/// 10 restores into a fresh serial solver and into a thread-parallel one
+/// and both continue on exactly the oracle's uninterrupted trajectory.
 #[test]
 fn checkpoint_round_trips_across_layouts_mid_run() {
     let geo = Arc::new(VesselBuilder::aneurysm(12.0, 2.5, 3.5).voxelise(1.0));
@@ -165,29 +120,33 @@ fn checkpoint_round_trips_across_layouts_mid_run() {
     let dir = std::env::temp_dir().join(format!("hlb_layout_chkp_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
 
-    // Uninterrupted 20-step reference on the legacy layout.
-    let mut reference = Solver::new(geo.clone(), cfg.clone().with_layout(KernelLayout::Legacy));
-    reference.step_n(20);
-    let want = reference.raw_distributions().to_vec();
+    // Uninterrupted 20-step reference on the oracle.
+    let mut oracle = ReferenceSolver::new(geo.clone(), cfg.clone());
+    oracle.step_n(20);
+    let want = oracle.raw_distributions();
 
-    for writer in [KernelLayout::SoaSimd, KernelLayout::Legacy] {
-        let path = dir.join(format!("{}.chkp", layout_name(writer)));
-        let mut w = Solver::new(geo.clone(), cfg.clone().with_layout(writer));
-        w.step_n(10);
-        w.checkpoint(&path).unwrap();
-        for reader in LAYOUTS {
-            let mut r = Solver::new(geo.clone(), cfg.clone().with_layout(reader));
-            r.restore(&path).unwrap();
-            assert_eq!(r.step_count(), 10, "restored step count");
-            r.step_n(10);
-            assert!(
-                common::bits_eq(&want, &r.raw_distributions()),
-                "checkpoint written under {} + 10 more steps under {} diverged \
-                 from the uninterrupted run",
-                layout_name(writer),
-                layout_name(reader)
-            );
-        }
+    let path = dir.join("mid_run.chkp");
+    let mut w = Solver::new(geo.clone(), cfg.clone());
+    w.step_n(10);
+    w.checkpoint(&path).unwrap();
+
+    let mut serial = Solver::new(geo.clone(), cfg.clone());
+    serial.restore(&path).unwrap();
+    assert_eq!(serial.step_count(), 10, "restored step count");
+    let mut restored = Solver::new(geo.clone(), cfg.clone());
+    restored.restore(&path).unwrap();
+    let mut par = ParallelSolver::from_solver(restored, 3);
+    serial.step_n(10);
+    par.step_n(10);
+    for (name, f) in [
+        ("Solver", serial.raw_distributions()),
+        ("ParallelSolver(3)", par.raw_distributions()),
+    ] {
+        assert!(
+            common::bits_eq(want, &f),
+            "checkpoint at step 10 + 10 more steps under {name} diverged from the \
+             uninterrupted oracle run"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -212,59 +171,55 @@ fn corrupted_streaming_index_fails_golden_digest() {
         .expect("fixture has an f= digest line")
         .to_string();
 
-    for layout in [KernelLayout::SoaSimd, KernelLayout::Legacy] {
-        let mut solver = Solver::new(geo.clone(), cfg.clone().with_layout(layout));
-        // Find a swappable pair: distinct sources for the same non-rest
-        // direction at two different lattice positions.
-        let n = geo.fluid_count();
-        let q = solver.model().q;
-        let mut swapped = false;
-        'search: for dir in 1..q {
-            for b in 1..n {
-                if geo.position(0) != geo.position(b as u32)
-                    && solver.debug_swap_stream_entries(dir, 0, b)
-                {
-                    swapped = true;
-                    break 'search;
-                }
+    let mut solver = Solver::new(geo.clone(), cfg);
+    // Find a swappable pair: distinct sources for the same non-rest
+    // direction at two different lattice positions.
+    let n = geo.fluid_count();
+    let q = solver.model().q;
+    let mut swapped = false;
+    'search: for dir in 1..q {
+        for b in 1..n {
+            if geo.position(0) != geo.position(b as u32)
+                && solver.debug_swap_stream_entries(dir, 0, b)
+            {
+                swapped = true;
+                break 'search;
             }
         }
-        assert!(swapped, "no swappable streaming-index pair found");
-        solver.step_n(50);
-        let got_f = format!(
-            "{:016x}",
-            common::fnv1a_bits(solver.raw_distributions().iter().copied())
-        );
-        assert_ne!(
-            got_f,
-            blessed_f,
-            "{}: a corrupted streaming index reproduced the blessed f digest — \
-             the golden fixtures are not sensitive to the streaming table",
-            layout_name(layout)
-        );
     }
+    assert!(swapped, "no swappable streaming-index pair found");
+    solver.step_n(50);
+    let got_f = format!(
+        "{:016x}",
+        common::fnv1a_bits(solver.raw_distributions().iter().copied())
+    );
+    assert_ne!(
+        got_f, blessed_f,
+        "a corrupted streaming index reproduced the blessed f digest — \
+         the golden fixtures are not sensitive to the streaming table"
+    );
 }
 
-/// Long SoA soak: 500 steps; legacy, SoA-SIMD serial and SoA-SIMD at 8
-/// threads must all stay bit-identical. Run with
+/// Long SoA soak: 500 steps; the oracle, the serial solver and the
+/// solver at 8 threads must all stay bit-identical. Run with
 /// `cargo test --test kernel_layout -- --ignored` (nightly ci.sh soak).
 #[test]
 #[ignore = "long soak; run via cargo test -- --ignored"]
 fn soak_500_steps_soa_bit_exact() {
     let geo = Arc::new(VesselBuilder::aneurysm(14.0, 3.0, 4.0).voxelise(1.0));
     let cfg = SolverConfig::pressure_driven(1.005, 0.995);
-    let mut legacy = Solver::new(geo.clone(), cfg.clone().with_layout(KernelLayout::Legacy));
-    let mut simd = Solver::new(geo.clone(), cfg.clone().with_layout(KernelLayout::SoaSimd));
-    let mut par = ParallelSolver::new(geo, cfg.with_layout(KernelLayout::SoaSimd), 8);
-    legacy.step_n(500);
-    simd.step_n(500);
+    let mut oracle = ReferenceSolver::new(geo.clone(), cfg.clone());
+    let mut serial = Solver::new(geo.clone(), cfg.clone());
+    let mut par = ParallelSolver::new(geo, cfg, 8);
+    oracle.step_n(500);
+    serial.step_n(500);
     par.step_n(500);
     assert!(
-        common::bits_eq(&legacy.raw_distributions(), &simd.raw_distributions()),
-        "SoA-SIMD serial diverged from legacy after 500 steps"
+        common::bits_eq(oracle.raw_distributions(), &serial.raw_distributions()),
+        "serial SoA solver diverged from the oracle after 500 steps"
     );
     assert!(
-        common::bits_eq(&legacy.raw_distributions(), &par.raw_distributions()),
-        "SoA-SIMD 8-thread soak diverged from legacy after 500 steps"
+        common::bits_eq(oracle.raw_distributions(), &par.raw_distributions()),
+        "8-thread soak diverged from the oracle after 500 steps"
     );
 }
