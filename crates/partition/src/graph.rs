@@ -65,10 +65,15 @@ impl SiteGraph {
         let offsets = conn.offsets();
         let n = geo.fluid_count();
         let mut xadj = Vec::with_capacity(n + 1);
-        let mut adjncy = Vec::new();
+        let mut coords = Vec::with_capacity(n);
+        // The full stencil bounds every row, so the adjacency never
+        // regrows; pages past the last row written are never touched,
+        // and the unused tail is released at the end.
+        let mut adjncy = Vec::with_capacity(n * offsets.len());
         xadj.push(0);
         for s in 0..n as u32 {
             let [x, y, z] = geo.position(s);
+            coords.push([x as f64, y as f64, z as f64]);
             for off in &offsets {
                 if let Some(t) = geo.site_at(
                     x as i64 + off[0] as i64,
@@ -80,12 +85,7 @@ impl SiteGraph {
             }
             xadj.push(adjncy.len());
         }
-        let coords = (0..n as u32)
-            .map(|s| {
-                let [x, y, z] = geo.position(s);
-                [x as f64, y as f64, z as f64]
-            })
-            .collect();
+        adjncy.shrink_to_fit();
         SiteGraph {
             xadj,
             adjncy,

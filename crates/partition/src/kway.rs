@@ -3,33 +3,68 @@
 //!
 //! Three phases, exactly as in the METIS literature the paper cites:
 //!
-//! 1. **Coarsening** by heavy-edge matching until the graph is small;
+//! 1. **Coarsening** by heavy-edge matching until the graph is small.
+//!    A coarse vertex has at most two members, so contraction needs no
+//!    member lists: each coarse row is gathered through a dense slot
+//!    table (METIS's `htable`) and sorted by coarse id.
 //! 2. **Initial partitioning** of the coarsest graph by BFS-ordered
 //!    weight chunking (a greedy graph-growing variant);
 //! 3. **Uncoarsening** with greedy boundary Kernighan–Lin refinement at
-//!    every level, under a balance constraint.
+//!    every level, under a balance constraint. Each vertex's external
+//!    degree (neighbours owned by another part) is kept up to date
+//!    across moves, so a pass skips interior vertices in O(1) instead
+//!    of scanning their edges.
+//!
+//! The finest level borrows the [`SiteGraph`]'s CSR arrays, with unit
+//! edge weights implied rather than stored.
+//!
+//! **Bit-identity invariant.** All of the above are speed-ups of the
+//! plain algorithm (hashed row accumulation, a full edge scan per
+//! refinement pass) that keep its visit orders, `f64` summation orders
+//! and tie rules, so the owner map is bit-identical to it for every
+//! input. The golden digests in `tests/kway_golden.rs` pin the owner
+//! maps of a set of graphs; a change that moves one must say why.
+
+use std::borrow::Cow;
 
 use crate::graph::SiteGraph;
 use crate::Partitioner;
 
-/// Weighted CSR graph used internally across coarsening levels.
+/// Weighted CSR graph used internally across coarsening levels. The
+/// finest level borrows the site graph's arrays; coarser levels own
+/// theirs.
 #[derive(Debug, Clone)]
-struct Level {
-    xadj: Vec<usize>,
-    adjncy: Vec<u32>,
-    adjwgt: Vec<f64>,
-    vwgt: Vec<f64>,
+struct Level<'g> {
+    xadj: Cow<'g, [usize]>,
+    adjncy: Cow<'g, [u32]>,
+    /// Edge weights, parallel to `adjncy`; `None` means every edge
+    /// weighs 1.0 (the finest level).
+    adjwgt: Option<Vec<f64>>,
+    vwgt: Cow<'g, [f64]>,
     /// Map from this level's vertices to the *next coarser* level.
     coarse_map: Vec<u32>,
 }
 
-impl Level {
+impl<'g> Level<'g> {
+    /// The site graph itself, with unit edge weights.
+    fn base(graph: &'g SiteGraph) -> Self {
+        Level {
+            xadj: Cow::Borrowed(&graph.xadj),
+            adjncy: Cow::Borrowed(&graph.adjncy),
+            adjwgt: None,
+            vwgt: Cow::Borrowed(&graph.vwgt),
+            coarse_map: Vec::new(),
+        }
+    }
     fn len(&self) -> usize {
         self.vwgt.len()
     }
     fn neighbours(&self, v: u32) -> impl Iterator<Item = (u32, f64)> + '_ {
         let r = self.xadj[v as usize]..self.xadj[v as usize + 1];
-        r.map(move |e| (self.adjncy[e], self.adjwgt[e]))
+        r.map(move |e| {
+            let w = self.adjwgt.as_ref().map_or(1.0, |w| w[e]);
+            (self.adjncy[e], w)
+        })
     }
 }
 
@@ -57,28 +92,19 @@ impl Default for MultilevelKWay {
     }
 }
 
-impl Partitioner for MultilevelKWay {
-    fn partition(&self, graph: &SiteGraph, k: usize) -> Vec<usize> {
-        assert!(k > 0);
-        if k == 1 {
-            return vec![0; graph.len()];
-        }
-        let base = Level {
-            xadj: graph.xadj.clone(),
-            adjncy: graph.adjncy.clone(),
-            adjwgt: vec![1.0; graph.adjncy.len()],
-            vwgt: graph.vwgt.clone(),
-            coarse_map: Vec::new(),
-        };
-
-        // Phase 1: coarsen, with an explicit stall guard. Heavy-edge
-        // matching makes no real progress on adversarial topologies — a
-        // star graph collapses only one pair per round, an edgeless
-        // graph not at all — so a level shrinking by less than 5% breaks
-        // straight to initial partitioning + refinement on what we have.
-        // Without the guard such a level could be re-coarsened forever
-        // while never approaching the target size.
-        let mut levels = vec![base];
+impl MultilevelKWay {
+    /// Phase 1: the level hierarchy, finest first, each level's
+    /// `coarse_map` pointing into the next.
+    ///
+    /// Coarsening has an explicit stall guard. Heavy-edge matching makes
+    /// no real progress on adversarial topologies — a star graph
+    /// collapses only one pair per round, an edgeless graph not at all —
+    /// so a level shrinking by less than 5% breaks straight to initial
+    /// partitioning + refinement on what we have. Without the guard
+    /// such a level could be re-coarsened forever while never
+    /// approaching the target size.
+    fn coarsen_levels<'g>(&self, graph: &'g SiteGraph, k: usize) -> Vec<Level<'g>> {
+        let mut levels = vec![Level::base(graph)];
         let target = (self.coarsen_factor * k).max(64);
         let mut rng = self.seed | 1;
         loop {
@@ -95,6 +121,17 @@ impl Partitioner for MultilevelKWay {
                 break;
             }
         }
+        levels
+    }
+}
+
+impl Partitioner for MultilevelKWay {
+    fn partition(&self, graph: &SiteGraph, k: usize) -> Vec<usize> {
+        assert!(k > 0);
+        if k == 1 {
+            return vec![0; graph.len()];
+        }
+        let levels = self.coarsen_levels(graph, k);
 
         // Phase 2: initial partition of the coarsest level.
         let coarsest = levels.last().expect("nonempty");
@@ -104,11 +141,7 @@ impl Partitioner for MultilevelKWay {
         // Phase 3: project back, refining at each level.
         for li in (0..levels.len() - 1).rev() {
             let fine = &levels[li];
-            let mut fine_owner = vec![0usize; fine.len()];
-            for v in 0..fine.len() {
-                fine_owner[v] = owner[fine.coarse_map[v] as usize];
-            }
-            owner = fine_owner;
+            owner = fine.coarse_map.iter().map(|&c| owner[c as usize]).collect();
             refine(fine, &mut owner, k, self.epsilon, self.refine_passes);
         }
         owner
@@ -131,7 +164,7 @@ fn next_rand(state: &mut u64) -> u64 {
 
 /// Heavy-edge matching coarsening. Returns the coarse level and the
 /// fine→coarse map.
-fn coarsen(fine: &Level, rng: &mut u64) -> (Level, Vec<u32>) {
+fn coarsen<'g>(fine: &Level<'_>, rng: &mut u64) -> (Level<'g>, Vec<u32>) {
     let n = fine.len();
     // Random visit order (Fisher–Yates with the deterministic RNG).
     let mut order: Vec<u32> = (0..n as u32).collect();
@@ -141,18 +174,23 @@ fn coarsen(fine: &Level, rng: &mut u64) -> (Level, Vec<u32>) {
     }
 
     let unmatched = u32::MAX;
+    let unit = fine.adjwgt.is_none();
     let mut mate = vec![unmatched; n];
     for &v in &order {
         if mate[v as usize] != unmatched {
             continue;
         }
-        // Heaviest unmatched neighbour.
+        // Heaviest unmatched neighbour, the first one on ties. With unit
+        // weights that is the first unmatched neighbour.
         let mut best: Option<(u32, f64)> = None;
         for (u, w) in fine.neighbours(v) {
             if mate[u as usize] == unmatched && u != v {
                 match best {
                     Some((_, bw)) if bw >= w => {}
                     _ => best = Some((u, w)),
+                }
+                if unit {
+                    break;
                 }
             }
         }
@@ -164,19 +202,19 @@ fn coarsen(fine: &Level, rng: &mut u64) -> (Level, Vec<u32>) {
             None => mate[v as usize] = v, // matched with itself
         }
     }
+    drop(order);
 
-    // Assign coarse ids (pair gets one id, deterministic by min index).
+    // Assign coarse ids in ascending order of each pair's smaller
+    // member, so coarse vertex `cv`'s members are `v` and `mate[v]` for
+    // the `v` that takes id `cv`.
     let mut coarse_map = vec![u32::MAX; n];
     let mut next_id = 0u32;
     for v in 0..n as u32 {
         if coarse_map[v as usize] != u32::MAX {
             continue;
         }
-        let m = mate[v as usize];
         coarse_map[v as usize] = next_id;
-        if m != v && m != unmatched {
-            coarse_map[m as usize] = next_id;
-        }
+        coarse_map[mate[v as usize] as usize] = next_id;
         next_id += 1;
     }
 
@@ -186,40 +224,66 @@ fn coarsen(fine: &Level, rng: &mut u64) -> (Level, Vec<u32>) {
     for v in 0..n {
         vwgt[coarse_map[v] as usize] += fine.vwgt[v];
     }
-    // Per-coarse-vertex edge accumulation.
-    let mut xadj = vec![0usize; nc + 1];
-    let mut adjncy: Vec<u32> = Vec::with_capacity(fine.adjncy.len() / 2);
-    let mut adjwgt: Vec<f64> = Vec::with_capacity(fine.adjncy.len() / 2);
-    // Group fine vertices by coarse id.
-    let mut members: Vec<Vec<u32>> = vec![Vec::new(); nc];
+    // Every fine entry yields at most one coarse entry, and each matched
+    // pair drops at least the two (symmetric) entries joining it:
+    // reserving that bound means the arrays never regrow, and only the
+    // pages written become resident before the tail is released.
+    let pairs = n - nc;
+    let bound = fine.adjncy.len().saturating_sub(2 * pairs);
+    let mut xadj = Vec::with_capacity(nc + 1);
+    xadj.push(0usize);
+    let mut adjncy: Vec<u32> = Vec::with_capacity(bound);
+    let mut adjwgt: Vec<f64> = Vec::with_capacity(bound);
+    // Each row is gathered through a dense slot table: `slot[cu]` is
+    // `cu`'s index in `keys`/`weights` while the row is being built.
+    // Entries appear in traversal order (members ascending, then CSR
+    // order), each weight summing from 0.0 in that order; the row is
+    // then emitted sorted by coarse id.
+    let none = u32::MAX;
+    let mut slot = vec![none; nc];
+    let mut keys: Vec<u32> = Vec::new();
+    let mut weights: Vec<f64> = Vec::new();
     for v in 0..n as u32 {
-        members[coarse_map[v as usize] as usize].push(v);
-    }
-    let mut acc: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
-    for cv in 0..nc {
-        acc.clear();
-        for &v in &members[cv] {
-            for (u, w) in fine.neighbours(v) {
+        let m = mate[v as usize];
+        if m < v {
+            continue; // the pair's row was built at its smaller member
+        }
+        let cv = coarse_map[v as usize];
+        let pair = [v, m];
+        let members = if m == v { &pair[..1] } else { &pair[..] };
+        for &x in members {
+            for (u, w) in fine.neighbours(x) {
                 let cu = coarse_map[u as usize];
-                if cu as usize != cv {
-                    *acc.entry(cu).or_insert(0.0) += w;
+                if cu == cv {
+                    continue;
                 }
+                let s = &mut slot[cu as usize];
+                if *s == none {
+                    *s = keys.len() as u32;
+                    keys.push(cu);
+                    weights.push(0.0);
+                }
+                weights[*s as usize] += w;
             }
         }
-        let mut entries: Vec<(u32, f64)> = acc.iter().map(|(&u, &w)| (u, w)).collect();
-        entries.sort_unstable_by_key(|e| e.0);
-        for (u, w) in entries {
-            adjncy.push(u);
-            adjwgt.push(w);
+        keys.sort_unstable();
+        for &cu in &keys {
+            let s = std::mem::replace(&mut slot[cu as usize], none);
+            adjncy.push(cu);
+            adjwgt.push(weights[s as usize]);
         }
-        xadj[cv + 1] = adjncy.len();
+        keys.clear();
+        weights.clear();
+        xadj.push(adjncy.len());
     }
+    adjncy.shrink_to_fit();
+    adjwgt.shrink_to_fit();
     (
         Level {
-            xadj,
-            adjncy,
-            adjwgt,
-            vwgt,
+            xadj: Cow::Owned(xadj),
+            adjncy: Cow::Owned(adjncy),
+            adjwgt: Some(adjwgt),
+            vwgt: Cow::Owned(vwgt),
             coarse_map: Vec::new(),
         },
         coarse_map,
@@ -228,7 +292,7 @@ fn coarsen(fine: &Level, rng: &mut u64) -> (Level, Vec<u32>) {
 
 /// Initial partition: BFS order from vertex 0 (component by component),
 /// chunked by weight.
-fn initial_partition(level: &Level, k: usize) -> Vec<usize> {
+fn initial_partition(level: &Level<'_>, k: usize) -> Vec<usize> {
     let n = level.len();
     let mut order = Vec::with_capacity(n);
     let mut seen = vec![false; n];
@@ -264,21 +328,74 @@ fn initial_partition(level: &Level, k: usize) -> Vec<usize> {
 }
 
 /// Greedy boundary KL refinement under a balance constraint.
-fn refine(level: &Level, owner: &mut [usize], k: usize, epsilon: f64, max_passes: usize) {
-    let n = level.len();
-    let total: f64 = level.vwgt.iter().sum();
-    let mean = total / k as f64;
-    let max_load = mean * (1.0 + epsilon);
-    let mut loads = vec![0.0f64; k];
-    for v in 0..n {
-        loads[owner[v]] += level.vwgt[v];
+fn refine(level: &Level<'_>, owner: &mut [usize], k: usize, epsilon: f64, max_passes: usize) {
+    let mut refiner = Refiner::new(level, owner, k, epsilon);
+    for _pass in 0..max_passes {
+        if refiner.pass(level, owner) == 0 {
+            break;
+        }
+    }
+}
+
+/// Number of neighbours of each vertex owned by another part.
+fn external_degrees(level: &Level<'_>, owner: &[usize]) -> Vec<u32> {
+    (0..level.len() as u32)
+        .map(|v| {
+            let src = owner[v as usize];
+            level
+                .neighbours(v)
+                .filter(|&(u, _)| owner[u as usize] != src)
+                .count() as u32
+        })
+        .collect()
+}
+
+/// The state of boundary refinement on one level: part loads and each
+/// vertex's external degree, both kept exact across moves.
+struct Refiner {
+    loads: Vec<f64>,
+    max_load: f64,
+    /// `ext[v]`: neighbours of `v` owned by a part other than `v`'s.
+    ext: Vec<u32>,
+    /// Scratch: edge weight from the visited vertex to each part.
+    link: Vec<f64>,
+    /// Scratch: the parts with a nonzero `link`, in first-seen order.
+    touched: Vec<usize>,
+}
+
+impl Refiner {
+    fn new(level: &Level<'_>, owner: &[usize], k: usize, epsilon: f64) -> Self {
+        let total: f64 = level.vwgt.iter().sum();
+        let mean = total / k as f64;
+        let mut loads = vec![0.0f64; k];
+        for (&o, &w) in owner.iter().zip(level.vwgt.iter()) {
+            loads[o] += w;
+        }
+        Refiner {
+            loads,
+            max_load: mean * (1.0 + epsilon),
+            ext: external_degrees(level, owner),
+            link: vec![0.0; k],
+            touched: Vec::with_capacity(8),
+        }
     }
 
-    let mut link = vec![0.0f64; k]; // scratch: edge weight to each part
-    let mut touched: Vec<usize> = Vec::with_capacity(8);
-    for _pass in 0..max_passes {
+    /// One pass over the vertices in ascending order, moving each
+    /// boundary vertex to the adjacent part of best gain when that keeps
+    /// the balance. Returns the number of moves.
+    fn pass(&mut self, level: &Level<'_>, owner: &mut [usize]) -> usize {
+        let Refiner {
+            loads,
+            max_load,
+            ext,
+            link,
+            touched,
+        } = self;
         let mut moves = 0usize;
-        for v in 0..n as u32 {
+        for v in 0..level.len() as u32 {
+            if ext[v as usize] == 0 {
+                continue; // not a boundary vertex
+            }
             let src = owner[v as usize];
             // Weight of edges into each adjacent part.
             touched.clear();
@@ -294,15 +411,12 @@ fn refine(level: &Level, owner: &mut [usize], k: usize, epsilon: f64, max_passes
                     link[ou] += w;
                 }
             }
-            if touched.is_empty() {
-                continue; // not a boundary vertex
-            }
             // Best destination by gain, then by load (deterministic).
             let w_v = level.vwgt[v as usize];
             let mut best: Option<(usize, f64)> = None;
-            for &dst in &touched {
+            for &dst in touched.iter() {
                 let gain = link[dst] - internal;
-                if loads[dst] + w_v > max_load {
+                if loads[dst] + w_v > *max_load {
                     continue;
                 }
                 let better = match best {
@@ -313,7 +427,7 @@ fn refine(level: &Level, owner: &mut [usize], k: usize, epsilon: f64, max_passes
                     best = Some((dst, gain));
                 }
             }
-            for &t in &touched {
+            for &t in touched.iter() {
                 link[t] = 0.0;
             }
             if let Some((dst, gain)) = best {
@@ -326,12 +440,25 @@ fn refine(level: &Level, owner: &mut [usize], k: usize, epsilon: f64, max_passes
                     loads[src] -= w_v;
                     loads[dst] += w_v;
                     moves += 1;
+                    // `v` now borders every neighbour outside `dst`;
+                    // its neighbours in `src` gain an external
+                    // neighbour, those in `dst` lose one.
+                    let mut in_dst = 0;
+                    for (u, _) in level.neighbours(v) {
+                        let ou = owner[u as usize];
+                        if ou == src {
+                            ext[u as usize] += 1;
+                        } else if ou == dst {
+                            ext[u as usize] -= 1;
+                            in_dst += 1;
+                        }
+                    }
+                    let degree = level.xadj[v as usize + 1] - level.xadj[v as usize];
+                    ext[v as usize] = degree as u32 - in_dst;
                 }
             }
         }
-        if moves == 0 {
-            break;
-        }
+        moves
     }
 }
 
@@ -391,13 +518,7 @@ mod tests {
     fn refinement_never_worsens_cut() {
         let g = demo_graph();
         let k = 4;
-        let level = Level {
-            xadj: g.xadj.clone(),
-            adjncy: g.adjncy.clone(),
-            adjwgt: vec![1.0; g.adjncy.len()],
-            vwgt: g.vwgt.clone(),
-            coarse_map: Vec::new(),
-        };
+        let level = Level::base(&g);
         let mut owner = initial_partition(&level, k);
         let before = quality(&g, &owner, k).edge_cut;
         refine(&level, &mut owner, k, 0.05, 8);
@@ -408,13 +529,7 @@ mod tests {
     #[test]
     fn coarsening_preserves_total_weight() {
         let g = demo_graph();
-        let level = Level {
-            xadj: g.xadj.clone(),
-            adjncy: g.adjncy.clone(),
-            adjwgt: vec![1.0; g.adjncy.len()],
-            vwgt: g.vwgt.clone(),
-            coarse_map: Vec::new(),
-        };
+        let level = Level::base(&g);
         let mut rng = 42u64;
         let (coarse, map) = coarsen(&level, &mut rng);
         assert!(coarse.len() < level.len());
@@ -423,6 +538,84 @@ mod tests {
         let coarse_w: f64 = coarse.vwgt.iter().sum();
         assert!((fine_w - coarse_w).abs() < 1e-9);
         assert!(map.iter().all(|&c| (c as usize) < coarse.len()));
+    }
+
+    /// A level as a `SiteGraph`, for its structural checks.
+    fn as_site_graph(level: &Level<'_>) -> SiteGraph {
+        SiteGraph {
+            xadj: level.xadj.to_vec(),
+            adjncy: level.adjncy.to_vec(),
+            vwgt: level.vwgt.to_vec(),
+            vwgt2: None,
+            coords: vec![[0.0; 3]; level.len()],
+        }
+    }
+
+    #[test]
+    fn every_coarse_level_is_valid_and_keeps_its_weights() {
+        let mut weighted = demo_graph();
+        for (v, w) in weighted.vwgt.iter_mut().enumerate() {
+            *w = 1.0 + (v % 3) as f64;
+        }
+        for g in [demo_graph(), weighted] {
+            let levels = MultilevelKWay::default().coarsen_levels(&g, 2);
+            assert!(levels.len() >= 4, "only {} levels", levels.len());
+            for (li, pair) in levels.windows(2).enumerate() {
+                let (fine, coarse) = (&pair[0], &pair[1]);
+                as_site_graph(coarse)
+                    .validate()
+                    .unwrap_or_else(|e| panic!("level {}: {e}", li + 1));
+                let weights = coarse.adjwgt.as_ref().expect("coarse levels carry weights");
+                assert_eq!(weights.len(), coarse.adjncy.len());
+                for v in 0..coarse.len() {
+                    let row = &coarse.adjncy[coarse.xadj[v]..coarse.xadj[v + 1]];
+                    assert!(row.windows(2).all(|p| p[0] < p[1]), "row {v} unsorted");
+                }
+                // Vertex weights and the weight of edges between distinct
+                // coarse vertices are conserved (all sums are of small
+                // integers, so exact).
+                let fine_w: f64 = fine.vwgt.iter().sum();
+                let coarse_w: f64 = coarse.vwgt.iter().sum();
+                assert_eq!(fine_w, coarse_w, "level {}", li + 1);
+                let mut cross = 0.0;
+                for v in 0..fine.len() as u32 {
+                    for (u, w) in fine.neighbours(v) {
+                        if fine.coarse_map[v as usize] != fine.coarse_map[u as usize] {
+                            cross += w;
+                        }
+                    }
+                }
+                assert_eq!(cross, weights.iter().sum::<f64>(), "level {}", li + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn external_degrees_stay_exact_through_refinement() {
+        let g = demo_graph();
+        let level = Level::base(&g);
+        let k = 4;
+        // From the greedy initial partition (few moves) and from a
+        // striped one (many moves in every pass).
+        let striped: Vec<usize> = (0..g.len()).map(|v| (v / 7) % k).collect();
+        for start in [initial_partition(&level, k), striped] {
+            let mut owner = start;
+            let mut refiner = Refiner::new(&level, &owner, k, 0.05);
+            let mut total_moves = 0;
+            for pass in 0..8 {
+                let moves = refiner.pass(&level, &mut owner);
+                assert_eq!(
+                    refiner.ext,
+                    external_degrees(&level, &owner),
+                    "pass {pass}: external degrees drifted"
+                );
+                total_moves += moves;
+                if moves == 0 {
+                    break;
+                }
+            }
+            assert!(total_moves > 0, "refinement made no moves to check");
+        }
     }
 
     /// A star: vertex 0 joined to every other vertex, no other edges.
