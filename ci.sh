@@ -2,8 +2,8 @@
 # CI gate for hemelb-insitu-rs, in tiers composed of stage groups:
 #
 #   ./ci.sh --quick        # lint + tier1: format, clippy, release
-#                          #   build, root-package tests, every
-#                          #   crate's tests
+#                          #   build, the tests of every workspace
+#                          #   package
 #   ./ci.sh                # + determinism, kernel-layout, obs, render,
 #                          #   fault-injection, farm and projection
 #                          #   suites + bench smokes, each gated against
@@ -121,13 +121,12 @@ group_lint() {
     stage clippy cargo clippy --workspace --all-targets -- -D warnings
 }
 
-# Tier-1 (ROADMAP): release build + the root-package test suite, then
-# every crate's unit and integration tests (the root suite alone never
-# runs the tests under crates/*).
+# Tier-1 (ROADMAP): release build + the tests of every workspace
+# package: the root package's suite and each crate's unit and
+# integration tests.
 group_tier1() {
-    stage build          cargo build --release
-    stage test           cargo test -q
-    stage test-workspace cargo test --workspace -q
+    stage build cargo build --release
+    stage test  cargo test --workspace -q
 }
 
 # Determinism suite (bit-exactness proptests + golden fixtures),

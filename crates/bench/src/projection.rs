@@ -378,24 +378,9 @@ pub fn calibrate(size: Size, steps: u64, max_ranks: usize) -> CalibratedModel {
 /// all-zero columns) from the CrayXe6 preset: a projection must price
 /// every term, even when the measurement had no signal for one.
 pub fn effective_model(cal: &CalibratedModel) -> CostModel {
-    let preset = CostModel::for_machine(hemelb_parallel::MachineModel::CrayXe6);
-    CostModel {
-        alpha: if cal.model.alpha.is_finite() {
-            cal.model.alpha
-        } else {
-            preset.alpha
-        },
-        beta: if cal.model.beta.is_finite() {
-            cal.model.beta
-        } else {
-            preset.beta
-        },
-        gamma: if cal.model.gamma.is_finite() {
-            cal.model.gamma
-        } else {
-            preset.gamma
-        },
-    }
+    cal.with_fallback(&CostModel::for_machine(
+        hemelb_parallel::MachineModel::CrayXe6,
+    ))
 }
 
 /// Scale the trace to `ranks` under `model`.

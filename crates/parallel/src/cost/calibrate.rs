@@ -122,6 +122,20 @@ impl CalibratedModel {
             && self.model.gamma > 0.0
     }
 
+    /// The fitted model with `preset`'s value for each term the fit
+    /// could not price (an infinite β or γ), so that every term is
+    /// finite. A fit whose samples never exercised a term, or whose
+    /// samples could not tell it apart from another, prices it as free;
+    /// the preset is the better guess.
+    pub fn with_fallback(&self, preset: &CostModel) -> CostModel {
+        let pick = |fitted: f64, preset: f64| if fitted.is_finite() { fitted } else { preset };
+        CostModel {
+            alpha: pick(self.model.alpha, preset.alpha),
+            beta: pick(self.model.beta, preset.beta),
+            gamma: pick(self.model.gamma, preset.gamma),
+        }
+    }
+
     /// Record the model losslessly into an obs recorder under
     /// `{prefix}.` counter names, so a `BENCH_*.json` report carries
     /// its own calibration. Obs counters are `u64` rendered through
@@ -425,6 +439,26 @@ mod tests {
         assert!(!cal.is_usable(), "comm terms never measured");
         // The free terms predict zero cost.
         assert_eq!(cal.predict(1000, 1 << 30, 0), 0.0);
+    }
+
+    #[test]
+    fn fallback_fills_only_the_unpriced_terms() {
+        let samples: Vec<CalSample> = (1..10)
+            .map(|i| CalSample {
+                msgs: 0,
+                bytes: 0,
+                work: i * 1000,
+                secs: i as f64 * 1e-4,
+            })
+            .collect();
+        let cal = fit(&samples).unwrap();
+        let preset = CostModel::for_machine(crate::MachineModel::CrayXe6);
+        let m = cal.with_fallback(&preset);
+        assert_eq!(m.alpha, 0.0, "a finite fitted term is kept");
+        assert_eq!(m.beta, preset.beta);
+        assert_eq!(m.gamma, cal.model.gamma);
+        let exact = fit(&synth(2e-6, 4e9, 8e8)).unwrap();
+        assert_eq!(exact.with_fallback(&preset), exact.model);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!    every level, under a balance constraint. Each vertex's external
 //!    degree (neighbours owned by another part) is kept up to date
 //!    across moves, so a pass skips interior vertices in O(1) instead
-//!    of scanning their edges.
+//!    of scanning their edges. Debug builds check it against a fresh
+//!    recount after every pass.
 //!
 //! The finest level borrows the [`SiteGraph`]'s CSR arrays, with unit
 //! edge weights implied rather than stored.
@@ -174,23 +175,18 @@ fn coarsen<'g>(fine: &Level<'_>, rng: &mut u64) -> (Level<'g>, Vec<u32>) {
     }
 
     let unmatched = u32::MAX;
-    let unit = fine.adjwgt.is_none();
     let mut mate = vec![unmatched; n];
     for &v in &order {
         if mate[v as usize] != unmatched {
             continue;
         }
-        // Heaviest unmatched neighbour, the first one on ties. With unit
-        // weights that is the first unmatched neighbour.
+        // Heaviest unmatched neighbour, the first one on ties.
         let mut best: Option<(u32, f64)> = None;
         for (u, w) in fine.neighbours(v) {
             if mate[u as usize] == unmatched && u != v {
                 match best {
                     Some((_, bw)) if bw >= w => {}
                     _ => best = Some((u, w)),
-                }
-                if unit {
-                    break;
                 }
             }
         }
@@ -327,72 +323,27 @@ fn initial_partition(level: &Level<'_>, k: usize) -> Vec<usize> {
     owner
 }
 
-/// Greedy boundary KL refinement under a balance constraint.
+/// Greedy boundary KL refinement under a balance constraint: up to
+/// `max_passes` passes over the vertices in ascending order, moving
+/// each boundary vertex to the adjacent part of best gain when that
+/// keeps the balance.
 fn refine(level: &Level<'_>, owner: &mut [usize], k: usize, epsilon: f64, max_passes: usize) {
-    let mut refiner = Refiner::new(level, owner, k, epsilon);
+    let n = level.len();
+    let total: f64 = level.vwgt.iter().sum();
+    let mean = total / k as f64;
+    let max_load = mean * (1.0 + epsilon);
+    let mut loads = vec![0.0f64; k];
+    for (&o, &w) in owner.iter().zip(level.vwgt.iter()) {
+        loads[o] += w;
+    }
+    // `ext[v]`: neighbours of `v` owned by a part other than `v`'s,
+    // kept exact across moves.
+    let mut ext = external_degrees(level, owner);
+    let mut link = vec![0.0f64; k];
+    let mut touched: Vec<usize> = Vec::with_capacity(8);
     for _pass in 0..max_passes {
-        if refiner.pass(level, owner) == 0 {
-            break;
-        }
-    }
-}
-
-/// Number of neighbours of each vertex owned by another part.
-fn external_degrees(level: &Level<'_>, owner: &[usize]) -> Vec<u32> {
-    (0..level.len() as u32)
-        .map(|v| {
-            let src = owner[v as usize];
-            level
-                .neighbours(v)
-                .filter(|&(u, _)| owner[u as usize] != src)
-                .count() as u32
-        })
-        .collect()
-}
-
-/// The state of boundary refinement on one level: part loads and each
-/// vertex's external degree, both kept exact across moves.
-struct Refiner {
-    loads: Vec<f64>,
-    max_load: f64,
-    /// `ext[v]`: neighbours of `v` owned by a part other than `v`'s.
-    ext: Vec<u32>,
-    /// Scratch: edge weight from the visited vertex to each part.
-    link: Vec<f64>,
-    /// Scratch: the parts with a nonzero `link`, in first-seen order.
-    touched: Vec<usize>,
-}
-
-impl Refiner {
-    fn new(level: &Level<'_>, owner: &[usize], k: usize, epsilon: f64) -> Self {
-        let total: f64 = level.vwgt.iter().sum();
-        let mean = total / k as f64;
-        let mut loads = vec![0.0f64; k];
-        for (&o, &w) in owner.iter().zip(level.vwgt.iter()) {
-            loads[o] += w;
-        }
-        Refiner {
-            loads,
-            max_load: mean * (1.0 + epsilon),
-            ext: external_degrees(level, owner),
-            link: vec![0.0; k],
-            touched: Vec::with_capacity(8),
-        }
-    }
-
-    /// One pass over the vertices in ascending order, moving each
-    /// boundary vertex to the adjacent part of best gain when that keeps
-    /// the balance. Returns the number of moves.
-    fn pass(&mut self, level: &Level<'_>, owner: &mut [usize]) -> usize {
-        let Refiner {
-            loads,
-            max_load,
-            ext,
-            link,
-            touched,
-        } = self;
         let mut moves = 0usize;
-        for v in 0..level.len() as u32 {
+        for v in 0..n as u32 {
             if ext[v as usize] == 0 {
                 continue; // not a boundary vertex
             }
@@ -414,9 +365,9 @@ impl Refiner {
             // Best destination by gain, then by load (deterministic).
             let w_v = level.vwgt[v as usize];
             let mut best: Option<(usize, f64)> = None;
-            for &dst in touched.iter() {
+            for &dst in &touched {
                 let gain = link[dst] - internal;
-                if loads[dst] + w_v > *max_load {
+                if loads[dst] + w_v > max_load {
                     continue;
                 }
                 let better = match best {
@@ -427,7 +378,7 @@ impl Refiner {
                     best = Some((dst, gain));
                 }
             }
-            for &t in touched.iter() {
+            for &t in &touched {
                 link[t] = 0.0;
             }
             if let Some((dst, gain)) = best {
@@ -458,8 +409,24 @@ impl Refiner {
                 }
             }
         }
-        moves
+        debug_assert_eq!(ext, external_degrees(level, owner), "ext drifted");
+        if moves == 0 {
+            break;
+        }
     }
+}
+
+/// Number of neighbours of each vertex owned by another part.
+fn external_degrees(level: &Level<'_>, owner: &[usize]) -> Vec<u32> {
+    (0..level.len() as u32)
+        .map(|v| {
+            let src = owner[v as usize];
+            level
+                .neighbours(v)
+                .filter(|&(u, _)| owner[u as usize] != src)
+                .count() as u32
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -587,34 +554,6 @@ mod tests {
                 }
                 assert_eq!(cross, weights.iter().sum::<f64>(), "level {}", li + 1);
             }
-        }
-    }
-
-    #[test]
-    fn external_degrees_stay_exact_through_refinement() {
-        let g = demo_graph();
-        let level = Level::base(&g);
-        let k = 4;
-        // From the greedy initial partition (few moves) and from a
-        // striped one (many moves in every pass).
-        let striped: Vec<usize> = (0..g.len()).map(|v| (v / 7) % k).collect();
-        for start in [initial_partition(&level, k), striped] {
-            let mut owner = start;
-            let mut refiner = Refiner::new(&level, &owner, k, 0.05);
-            let mut total_moves = 0;
-            for pass in 0..8 {
-                let moves = refiner.pass(&level, &mut owner);
-                assert_eq!(
-                    refiner.ext,
-                    external_degrees(&level, &owner),
-                    "pass {pass}: external degrees drifted"
-                );
-                total_moves += moves;
-                if moves == 0 {
-                    break;
-                }
-            }
-            assert!(total_moves > 0, "refinement made no moves to check");
         }
     }
 

@@ -19,10 +19,10 @@
 //!    **self-calibrates**: every window's all-reduced measurements
 //!    (span totals, message/byte counts, send times) feed a
 //!    non-negative least-squares fit
-//!    ([`hemelb_parallel::calibrate_fit`]), and once that fit is usable
-//!    it replaces the preset — migrations are priced at this machine's
-//!    measured rates, identically on every rank because the fit is a
-//!    pure function of all-reduced inputs;
+//!    ([`hemelb_parallel::calibrate_fit`]), and each term that fit
+//!    measures replaces the preset's — migrations are priced at this
+//!    machine's measured rates, identically on every rank because the
+//!    fit is a pure function of all-reduced inputs;
 //! 4. an applied plan goes through [`DistSolver::repartition`], which
 //!    is bit-transparent — physics after an adaptive rebalance is
 //!    bit-identical to never having rebalanced.
@@ -81,8 +81,9 @@ pub struct AdaptiveDriver {
     lb: AdaptiveLb,
     graph: SiteGraph,
     cost_model: CostModel,
-    /// Model fitted from this run's own windows; replaces `cost_model`
-    /// for migration pricing as soon as the fit is usable.
+    /// Model fitted from this run's own windows, with `cost_model`'s
+    /// value for any term the fit could not price; replaces
+    /// `cost_model` for migration pricing as soon as a fit exists.
     calibrated: Option<CostModel>,
     /// Calibration samples accumulated from all-reduced window
     /// measurements — identical on every rank by construction.
@@ -126,8 +127,8 @@ impl AdaptiveDriver {
 
     /// Price migrations with a different *fallback* machine model (e.g.
     /// [`MachineModel::CrayXe6`] for co-design projections). Once the
-    /// driver's own window measurements yield a usable calibrated fit,
-    /// that fit takes over the pricing (see
+    /// driver's own window measurements yield a calibrated fit, the
+    /// terms it measured take over the pricing (see
     /// [`AdaptiveDriver::pricing_model`]).
     pub fn with_cost_model(mut self, model: CostModel) -> Self {
         self.cost_model = model;
@@ -135,13 +136,13 @@ impl AdaptiveDriver {
     }
 
     /// The model currently pricing migrations: the self-calibrated fit
-    /// when one is usable, the fallback preset before that.
+    /// once one exists, the fallback preset before that.
     pub fn pricing_model(&self) -> &CostModel {
         self.calibrated.as_ref().unwrap_or(&self.cost_model)
     }
 
     /// Whether migration pricing is running on a self-calibrated model
-    /// (false until enough windows produced a usable fit).
+    /// (false until the windows gave enough samples for a fit).
     pub fn is_calibrated(&self) -> bool {
         self.calibrated.is_some()
     }
@@ -258,10 +259,13 @@ impl AdaptiveDriver {
                 secs: reduced[SLOTS * r + 5],
             });
         }
+        // Every window sends the same halo messages, so bytes per
+        // message hardly varies between samples and the fit cannot
+        // split their cost between α and β: noise decides, and the
+        // non-negativity clamp often prices bytes as free (β = ∞).
+        // Such a term was not measured, so it keeps the preset's value.
         if let Ok(cal) = calibrate_fit(&self.samples) {
-            if cal.is_usable() {
-                self.calibrated = Some(cal.model);
-            }
+            self.calibrated = Some(cal.with_fallback(&self.cost_model));
         }
 
         // 3. Hysteresis.

@@ -1,9 +1,9 @@
 //! The adaptive driver calibrates its cost model from measured window
 //! timings of a real 2-rank run.
 //!
-//! The fit is only usable when the timings are clean, so this test lives
-//! in a binary of its own: the test harness runs it alone, with no
-//! sibling test competing for the cores it is timing.
+//! The fit reads wall-clock timings, so this test lives in a binary of
+//! its own: the test harness runs it alone, with no sibling test
+//! competing for the cores it is timing.
 
 use hemelb_core::{DistSolver, SolverConfig};
 use hemelb_geometry::VesselBuilder;
